@@ -263,7 +263,7 @@ def cmd_system_search(args) -> int:
     labels = None
     if args.subsystem:
         labels = [int(x) for x in re.split(r"[,\s]+", args.subsystem.strip()) if x]
-    canon, sols = obstruction.integer_search(args.bound, labels=labels, partitions=args.partitions)
+    canon, sols = obstruction.integer_search(args.bound, labels=labels)
     full = labels is None
     payload = {
         "bound": args.bound,
@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = system_sub.add_parser("search", help="bounded integer search")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--subsystem", help="comma-separated row labels, e.g. 2,3")
-    p.add_argument("--partitions", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_system_search)
     p = system_sub.add_parser("eval", help="evaluate an assignment file")

@@ -1,6 +1,10 @@
 """The 14-equation band-sum obstruction system: exact evaluation, the
-three parametric solution families over Q(sqrt 3), and a pruned bounded
-search certifying the absence of small integer solutions.
+three parametric solution families over Q(sqrt 3), and an exact bounded
+search certifying the absence of small integer solutions.  The search
+is factored: rows sharing no variable are searched apart and joined by
+product, each row's last variable is solved rather than enumerated,
+and a block of SEARCH_BLOCKS whose rows read only its own variables is
+solved once and reused.
 
 The system lives in 12 variables a3,a4,a5,a6,b1,b2,b5,b6,c1,c2,c3,c4
 (the homological band-sum multiplicities; the missing a1,a2,b3,b4,c5,c6
@@ -17,6 +21,8 @@ compares the equation part, rather than repairing the text silently.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +32,15 @@ VARIABLES: tuple[str, ...] = (
     "a3", "a4", "a5", "a6", "b1", "b2", "b5", "b6", "c1", "c2", "c3", "c4",
 )
 
-#: Search order: the three small coupled subsystems are decided first.
-SEARCH_ORDER: tuple[str, ...] = (
-    "b5", "b6", "c3", "c4", "a3", "a4", "b1", "b2", "a5", "a6", "c1", "c2",
+#: Search blocks: the coupled subsystems {(2),(3)} and {(4),(7)} are
+#: decided first; in the third, c2, c1 and a6 come last so that rows
+#: (5), (10) and (6) solve them.
+SEARCH_BLOCKS: tuple[tuple[str, ...], ...] = (
+    ("b5", "b6", "c3", "c4"),
+    ("a3", "a4", "b1", "b2"),
+    ("a5", "c2", "c1", "a6"),
 )
+SEARCH_ORDER: tuple[str, ...] = tuple(v for block in SEARCH_BLOCKS for v in block)
 
 
 class PoleError(ZeroDivisionError):
@@ -243,7 +254,7 @@ class PolySystem:
     """The 15 labelled rows, cross-checked between sources on build."""
 
     def __init__(self, equations: Sequence[Equation], check: dict | None = None):
-        self.equations = list(equations)
+        self.equations = tuple(equations)
         self.cross_check = check
 
     def __iter__(self):
@@ -270,8 +281,12 @@ class PolySystem:
         return "\n".join(eq.text() for eq in self.equations)
 
 
+@functools.cache
 def obstruction_system() -> PolySystem:
-    """The full 15-row system with the dual-source cross-check attached."""
+    """The full 15-row system with the dual-source cross-check attached.
+
+    Built once per process: the cross-check runs on the first call and
+    raises on drift between the sources."""
     check = transcription_check()
     if not check["all_agree"]:
         raise AssertionError(f"transcription drift between sources: {check}")
@@ -488,70 +503,155 @@ def _family1_facts() -> dict:
 def integer_search(
     bound: int,
     labels: Iterable[int] | None = None,
-    partitions: int = 1,
 ) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     """All integer solutions of the chosen rows with |v| <= bound.
 
-    Backtracking over SEARCH_ORDER with immediate pruning: every
-    equation is checked the moment its last variable is assigned, so
-    the coupled degree-2 subsystems {(2),(3)}, {(4),(7)}, {(12),(15)}
-    cut the tree first.  Returns (variables in canonical order, sorted
-    solution tuples); the result is independent of partitioning.
+    The search is exact and factored in three ways:
+
+    * Rows that share no variable, even through other rows, form
+      independent components; each is searched on its own and the
+      results are joined by Cartesian product.
+    * Every row is multilinear, so it is linear in its last variable
+      x: a*x + r = target.  When that variable's turn comes, x is
+      solved as (target - r) / a if that is an integer within the
+      bound, and the branch is pruned otherwise; with a == 0 the branch
+      enumerates x when r == target and is pruned when not.  Only
+      variables that end no row are enumerated.  Every other row ending
+      at the same variable is checked the moment it is assigned.
+    * Variables are taken block by block in SEARCH_BLOCKS order.  A
+      block whose rows read only its own variables -- {(4),(7)} in the
+      full system -- is solved once, and its local solutions are reused
+      under every solution of the blocks before it.
+
+    Returns (variables in canonical order, sorted solution tuples).
+    Unknown row labels raise ValueError.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     system = obstruction_system()
-    rows = list(system.subsystem(labels) if labels is not None else system)
-    rows = [eq for eq in rows if eq.terms]
-    used = sorted({v for eq in rows for (_, m) in eq.terms for v in m},
-                  key=SEARCH_ORDER.index)
+    if labels is not None:
+        labels = set(labels)
+        unknown = labels - {eq.label for eq in system}
+        if unknown:
+            raise ValueError(f"unknown row labels {sorted(unknown)}; rows are 1-{len(system)}")
+        system = system.subsystem(labels)
+    rows = [eq for eq in system if eq.terms]
+    parts = [_search_component(component, bound) for component in _components(rows)]
+    order = [v for names, _ in parts for v in names]
+    canon = tuple(v for v in VARIABLES if v in order)
+    place = [order.index(v) for v in canon]
+    solutions = []
+    for combo in itertools.product(*(sols for _, sols in parts)):
+        flat = tuple(x for sol in combo for x in sol)
+        solutions.append(tuple(flat[i] for i in place))
+    return canon, sorted(solutions)
+
+
+def _variables_of(eq: Equation) -> set:
+    return {v for (_, mono) in eq.terms for v in mono}
+
+
+def _components(rows: list) -> list[list]:
+    """Split rows into the connected components of 'shares a variable',
+    each component keeping label order."""
+    groups: list[set] = []
+    for eq in rows:
+        names = _variables_of(eq)
+        for other in [g for g in groups if g & names]:
+            groups.remove(other)
+            names |= other
+        groups.append(names)
+    return [[eq for eq in rows if _variables_of(eq) & names] for names in groups]
+
+
+def _value(terms, val) -> int:
+    total = 0
+    for c, idxs in terms:
+        for i in idxs:
+            c *= val[i]
+        total += c
+    return total
+
+
+def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
+    """Solutions of one connected component, over its variables in
+    SEARCH_ORDER."""
+    used = tuple(v for v in SEARCH_ORDER if any(v in _variables_of(eq) for eq in rows))
     depth_of = {v: i for i, v in enumerate(used)}
 
-    checks_at: list[list] = [[] for _ in range(len(used) + 1)]
+    # steps[d] = None (enumerate the variable at depth d) or
+    # (a terms, r terms, target) of the row that solves it; checks[d]
+    # are the other rows that end at depth d.
+    steps: list = [None] * len(used)
+    checks: list[list] = [[] for _ in used]
+    spans = []
     for eq in rows:
-        depth = max(depth_of[v] for (_, m) in eq.terms for v in m) + 1
-        compiled = [(c, tuple(depth_of[v] for v in m)) for (c, m) in eq.terms]
-        checks_at[depth].append((compiled, eq.target))
+        terms = [(c, tuple(depth_of[v] for v in m)) for (c, m) in eq.terms]
+        d = max(i for _, idxs in terms for i in idxs)
+        spans.append((d, min(i for _, idxs in terms for i in idxs)))
+        if steps[d] is None:
+            steps[d] = (
+                [(c, tuple(i for i in idxs if i != d)) for c, idxs in terms if d in idxs],
+                [(c, idxs) for c, idxs in terms if d not in idxs],
+                eq.target,
+            )
+        else:
+            checks[d].append((terms, eq.target))
 
-    domain = list(range(-bound, bound + 1))
-    canon = tuple(v for v in VARIABLES if v in depth_of)
+    domain = range(-bound, bound + 1)
+    val = [0] * len(used)
 
-    def run(first_values: list[int]) -> list[tuple[int, ...]]:
+    def block_solutions(lo: int, hi: int) -> list[tuple[int, ...]]:
+        """Assignments of depths lo..hi-1 under the values already in val."""
         found = []
-        val = [0] * len(used)
 
         def rec(d: int):
-            if d == len(used):
-                found.append(tuple(val[depth_of[v]] for v in canon))
+            if d == hi:
+                found.append(tuple(val[lo:hi]))
                 return
-            for x in (first_values if d == 0 else domain):
+            step = steps[d]
+            if step is None:
+                candidates = domain
+            else:
+                a_terms, r_terms, target = step
+                a = _value(a_terms, val)
+                rest = target - _value(r_terms, val)
+                if a:
+                    x, remainder = divmod(rest, a)
+                    candidates = (x,) if not remainder and -bound <= x <= bound else ()
+                else:
+                    candidates = domain if rest == 0 else ()
+            for x in candidates:
                 val[d] = x
-                ok = True
-                for compiled, target in checks_at[d + 1]:
-                    total = 0
-                    for c, idxs in compiled:
-                        t = c
-                        for i in idxs:
-                            t *= val[i]
-                        total += t
-                    if total != target:
-                        ok = False
+                for terms, target in checks[d]:
+                    if _value(terms, val) != target:
                         break
-                if ok:
+                else:
                     rec(d + 1)
 
-        rec(0)
+        rec(lo)
         return found
 
-    if not used:
-        return canon, [()]
-    if partitions <= 1:
-        results = run(domain)
-    else:
-        chunks = [domain[i::partitions] for i in range(partitions)]
-        from concurrent.futures import ThreadPoolExecutor
+    # (lo, hi, solutions if the block is self-contained, else None)
+    blocks = []
+    for block in SEARCH_BLOCKS:
+        depths = [depth_of[v] for v in block if v in depth_of]
+        if not depths:
+            continue
+        lo, hi = depths[0], depths[-1] + 1
+        self_contained = all(first >= lo for last, first in spans if lo <= last < hi)
+        blocks.append((lo, hi, block_solutions(lo, hi) if self_contained else None))
 
-        with ThreadPoolExecutor(max_workers=partitions) as pool:
-            parts = list(pool.map(run, chunks))
-        results = [s for part in parts for s in part]
-    return canon, sorted(results)
+    found = []
+
+    def walk(k: int):
+        if k == len(blocks):
+            found.append(tuple(val))
+            return
+        lo, hi, fixed = blocks[k]
+        for sol in fixed if fixed is not None else block_solutions(lo, hi):
+            val[lo:hi] = sol
+            walk(k + 1)
+
+    walk(0)
+    return used, found

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from search_reference import reference_search
 
 from commcalc.cli import main, parse_scalar, validate_report
 from commcalc.obstruction import QSqrt3
@@ -100,15 +101,23 @@ def test_system_search(capsys):
     assert [0, 1, 1, 1] in report["payload"]["solutions"]
 
 
-def test_system_search_partitions_stable(capsys):
-    _, base, _ = run_json(
+def test_system_search_matches_reference(capsys):
+    _, report, _ = run_json(
         capsys, "system", "search", "--bound", "2", "--subsystem", "2,3", "--json"
     )
-    _, split, _ = run_json(
-        capsys, "system", "search", "--bound", "2", "--subsystem", "2,3",
-        "--partitions", "3", "--json",
+    canon, sols = reference_search(2, [2, 3])
+    assert report["payload"]["variables"] == list(canon)
+    assert report["payload"]["solutions"] == [list(s) for s in sols]
+
+
+def test_system_search_unknown_row_label_exits_2(capsys):
+    code, out, err = run(capsys, "system", "search", "--bound", "2", "--subsystem", "99")
+    assert code == 2 and out == ""
+    assert "unknown row labels [99]" in err
+    code, report, _ = run_json(
+        capsys, "system", "search", "--bound", "2", "--subsystem", "1", "--json"
     )
-    assert base["payload"] == split["payload"]
+    assert code == 0 and report["payload"]["count"] == 1
 
 
 SAMPLE_FILE = """\

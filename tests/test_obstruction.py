@@ -2,10 +2,13 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from search_reference import reference_search
 
+from commcalc import obstruction
 from commcalc.obstruction import (
     FAMILIES,
     SEARCH_ORDER,
@@ -91,6 +94,8 @@ def test_rows_have_degree_2_or_3_and_unit_coefficients():
         for coeff, mono in eq.terms:
             assert coeff in (1, -1)
             assert len(mono) in (2, 3)
+            # multilinear: the search solves each row for its last variable
+            assert len(set(mono)) == len(mono)
 
 
 def test_dual_source_transcription():
@@ -267,17 +272,75 @@ def test_search_bound_0_is_empty():
     assert sols == []
 
 
-def test_search_partition_independence():
+def test_search_matches_reference_on_coupled_rows():
     rng = random.Random(161)
-    base = integer_search(3, labels=[2, 3])
-    for parts in (2, 3, 5, 8):
-        assert integer_search(3, labels=[2, 3], partitions=parts) == base
+    assert integer_search(3, labels=[2, 3]) == reference_search(3, [2, 3])
     for _ in range(20):
         labels = rng.sample([2, 3, 4, 7, 12, 15], rng.randrange(1, 4))
         bound = rng.randrange(0, 3)
-        expected = integer_search(bound, labels=labels)
-        got = integer_search(bound, labels=labels, partitions=rng.randrange(2, 5))
-        assert got == expected
+        assert integer_search(bound, labels=labels) == reference_search(bound, labels)
+
+
+def test_search_matches_reference_on_small_subsets():
+    # every subset of one to three rows, label 1 (0 = 0) included; at
+    # bound 2 the unrelated degree-3 rows have up to 10^5-10^6
+    # solutions, so the exhaustive sweep stops at bound 1
+    for size in (1, 2, 3):
+        for labels in itertools.combinations(range(1, 16), size):
+            for bound in (0, 1):
+                assert integer_search(bound, labels) == reference_search(bound, labels), labels
+
+
+def test_search_matches_reference_on_full_system_and_random_subsets():
+    for bound in range(4):
+        assert integer_search(bound) == reference_search(bound) == (VARIABLES, [])
+    rng = random.Random(2013)
+    for _ in range(30):
+        labels = rng.sample(range(1, 16), rng.randrange(4, 9))
+        assert integer_search(1, labels) == reference_search(1, labels), labels
+
+
+@pytest.mark.parametrize("labels", [[2, 3], [4, 7], [12, 15]])
+def test_coupled_block_has_8b_solutions(labels):
+    # each block factors into a handful of one-parameter branches with
+    # exactly 8B integer points at bound B
+    for bound in range(1, 21):
+        assert len(integer_search(bound, labels)[1]) == 8 * bound
+
+
+def test_independent_blocks_multiply():
+    for bound in range(1, 6):
+        canon, sols = integer_search(bound, [2, 3, 4, 7])
+        assert len(sols) == (8 * bound) ** 2
+        assert canon == ("a3", "a4", "b1", "b2", "b5", "b6", "c3", "c4")
+
+
+def test_full_search_bound_10_is_empty_and_fast():
+    t0 = time.perf_counter()
+    assert integer_search(10) == (VARIABLES, [])
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_unknown_row_labels_rejected():
+    for labels in ([99], [0], [2, 16]):
+        with pytest.raises(ValueError, match="unknown row labels"):
+            integer_search(2, labels)
+    assert integer_search(2, [1]) == ((), [()])
+
+
+def test_system_is_built_once_and_cross_checked(monkeypatch):
+    assert obstruction_system() is obstruction_system()
+    drifted = list(obstruction._SOLVER_LINES)
+    drifted[0] = "b[6] c[4] + b[5] c[3] == 1"
+    monkeypatch.setattr(obstruction, "_SOLVER_LINES", tuple(drifted))
+    obstruction_system.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="transcription drift"):
+            obstruction_system()
+    finally:
+        monkeypatch.undo()
+        obstruction_system.cache_clear()
+    assert obstruction_system().cross_check["all_agree"]
 
 
 def test_search_order_covers_all_variables():
