@@ -2,8 +2,10 @@
 
 Free-group words and commutator expressions, Magnus expansions in the
 squarefree truncated power-series ring, multilinear free-Lie reduction
-with exact rational linear algebra, and the band-sum obstruction
-system with its Q(sqrt 3) solution families and bounded integer search.
+(basis coordinates read off the tensor expansion, with the basis and
+the rank-14 dependency certified by exact rational elimination), and
+the band-sum obstruction system with its Q(sqrt 3) solution families
+and bounded integer search.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +26,6 @@ from .words import (  # noqa: F401
     WordError,
     commutator,
     expr_to_word,
-    free_reduce,
     parse_expr,
     print_expr,
     substitute,
@@ -43,7 +44,6 @@ from .lie import (  # noqa: F401
     TreeError,
     build_expansion_matrix,
     expand_tree,
-    rank_kernel,
     right_normed,
     to_basis,
     verify_appendix_identity,
@@ -61,7 +61,6 @@ from .obstruction import (  # noqa: F401
 from .hopf import (  # noqa: F401
     HopfScenario,
     InadmissibleSubstitutionError,
-    build_substituted_l1,
     find_substitutions,
     verify_hopf_triviality,
 )

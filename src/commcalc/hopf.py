@@ -90,10 +90,6 @@ class HopfScenario:
         return magnus.is_trivial_word(self.build_substituted_l1(sub), self.vars)
 
 
-def build_substituted_l1(sub: dict) -> GroupWord:
-    return HopfScenario().build_substituted_l1(sub)
-
-
 def find_substitutions(bound: int, twisted: bool = False) -> list[tuple[int, int, int]]:
     """All (s3, s4, t) with |s3|,|s4|,|t| <= bound whose substitution
     a -> m3^s3 m4^s4, b -> m2^t trivializes the longitude, in

@@ -9,6 +9,15 @@ antisymmetry) is handled operationally as the kernel of this expansion
 map, which identifies the quotient with the multilinear free-Lie
 component of dimension (d-1)!.
 
+Basis coordinates need no elimination.  The 24 right-normed
+commutators [i1,[i2,[i3,[i4,6]]]] are the standard basis of the
+degree-5 multilinear component (Reutenauer, Free Lie Algebras, 1993),
+and each one expands to exactly one monomial ending in 6, namely
+i1 i2 i3 i4 6, with coefficient +1.  So the coordinates of any Lie
+element are the coefficients of its expansion's monomials that end in
+6; the rank computations below certify the basis that makes this
+read-off valid.
+
 Trees are nested tuples over distinct integer indices: a leaf is an
 int, a bracket is a pair (left, right).  Example, right-normed:
 (2, (3, (4, (5, 6)))).
@@ -101,41 +110,23 @@ def comm_expr_to_tree(expr) -> CommTree:
     raise TreeError("only commutators and single generators form bracket trees")
 
 
-def render_tensor(vec: TensorVec) -> str:
-    if not vec:
-        return "0"
-    parts = []
-    for i, k in enumerate(sorted(vec, key=lambda k: (len(k), k))):
-        c = vec[k]
-        mono = "".join(f"x{j}" for j in k)
-        mag = abs(c)
-        body = mono if mag == 1 else f"{mag}*{mono}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # exact rational matrices
 
 
 class RationalMatrix:
-    """Dense exact-rational matrix with optional row/column labels.
+    """Dense exact-rational matrix.
 
     Elimination uses first-nonzero pivoting so every derived quantity
-    (rank, kernel basis, echelon form) is deterministic.
+    (rank, kernel basis) is deterministic.
     """
 
-    def __init__(self, rows: Iterable[Iterable], row_labels=None, col_labels=None):
+    def __init__(self, rows: Iterable[Iterable]):
         self.rows = [[Fraction(x) for x in r] for r in rows]
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
                 raise ValueError("ragged rows")
-        self.row_labels = list(row_labels) if row_labels is not None else None
-        self.col_labels = list(col_labels) if col_labels is not None else None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -160,13 +151,8 @@ class RationalMatrix:
             kernel.append([x / lead for x in vec])
         return kernel
 
-    def rref(self) -> "RationalMatrix":
-        rows = [r[:] for r in self.rows]
-        _eliminate(rows, reduced=True)
-        return RationalMatrix(rows, self.row_labels, self.col_labels)
 
-
-def _eliminate(rows: list, cols: int | None = None, reduced: bool = False) -> int:
+def _eliminate(rows: list, cols: int | None = None) -> int:
     """In-place forward elimination; returns the rank.  `cols` limits
     pivoting to the first columns (the rest ride along, e.g. an
     augmented identity)."""
@@ -182,9 +168,8 @@ def _eliminate(rows: list, cols: int | None = None, reduced: bool = False) -> in
         rows[piv], rows[r] = rows[r], rows[piv]
         inv = 1 / rows[piv][c]
         rows[piv] = [x * inv for x in rows[piv]]
-        targets = range(n) if reduced else range(piv + 1, n)
-        for i in targets:
-            if i != piv and rows[i][c] != 0:
+        for i in range(piv + 1, n):
+            if rows[i][c] != 0:
                 f = rows[i][c]
                 pr = rows[piv]
                 rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
@@ -194,13 +179,17 @@ def _eliminate(rows: list, cols: int | None = None, reduced: bool = False) -> in
     return piv
 
 
-def rank_kernel(m: RationalMatrix) -> tuple[int, list[list[Fraction]]]:
-    """Exact rank and a basis of the left kernel (row dependencies)."""
-    return m.rank(), m.left_kernel()
-
-
-def monomial_order(indices: Sequence[int]) -> list[tuple[int, ...]]:
-    return sorted(permutations(sorted(indices)))
+def _tensor_matrix(vectors: Iterable[TensorVec], indices: Sequence[int]) -> RationalMatrix:
+    """One row per tensor vector; the columns are the permutation
+    monomials over `indices` in lex order."""
+    pos = {c: i for i, c in enumerate(permutations(sorted(indices)))}
+    rows = []
+    for vec in vectors:
+        row = [0] * len(pos)
+        for k, v in vec.items():
+            row[pos[k]] = v
+        rows.append(row)
+    return RationalMatrix(rows)
 
 
 def build_expansion_matrix(indices: Sequence[int]) -> RationalMatrix:
@@ -210,18 +199,7 @@ def build_expansion_matrix(indices: Sequence[int]) -> RationalMatrix:
     idx = sorted(indices)
     if len(idx) < 2:
         raise TreeError("need at least two indices")
-    cols = monomial_order(idx)
-    col_pos = {c: i for i, c in enumerate(cols)}
-    rows = []
-    labels = []
-    for perm in sorted(permutations(idx)):
-        vec = expand_tree(right_normed(perm))
-        row = [0] * len(cols)
-        for k, v in vec.items():
-            row[col_pos[k]] = v
-        rows.append(row)
-        labels.append(perm)
-    return RationalMatrix(rows, row_labels=labels, col_labels=cols)
+    return _tensor_matrix((expand_tree(right_normed(p)) for p in permutations(idx)), idx)
 
 
 # ---------------------------------------------------------------------------
@@ -234,40 +212,25 @@ INDICES = (2, 3, 4, 5, 6)
 BASIS_PERMS = tuple((i1, i2, i3, i4, 6) for (i1, i2, i3, i4) in sorted(permutations((2, 3, 4, 5))))
 
 
-@lru_cache(maxsize=1)
-def _basis_expansions() -> tuple:
-    return tuple(expand_tree(right_normed(p)) for p in BASIS_PERMS)
-
-
 def to_basis(t: CommTree) -> dict:
-    """The unique coefficients expressing expand_tree(t) over the 24
-    right-most-index-6 basis expansions.  Degree-5 trees over {2..6}
-    only; raises if the expansion falls outside the span (which the
-    rank computations rule out)."""
+    """The unique integer coefficients expressing expand_tree(t) over
+    the 24 right-most-index-6 basis commutators, keyed by leaf sequence
+    in lex order.  Degree-5 trees over {2..6} only.
+
+    Each basis commutator [i1,[i2,[i3,[i4,6]]]] expands to exactly one
+    monomial ending in 6, namely i1 i2 i3 i4 6, with coefficient +1, so
+    the coordinates are the coefficients of expand_tree(t) at its
+    monomials ending in 6.  The combination is expanded again and
+    compared with expand_tree(t); a mismatch (which the rank
+    computations rule out) raises TreeError."""
     leaves = check_multilinear(t)
     if sorted(leaves) != list(INDICES):
         raise TreeError(f"to_basis needs leaves {INDICES}, got {sorted(leaves)}")
-    return solve_in_basis(expand_tree(t))
-
-
-def solve_in_basis(target: TensorVec) -> dict:
-    """Express an arbitrary degree-5 tensor vector over the 24 basis
-    expansions by exact elimination."""
-    cols = monomial_order(INDICES)
-    basis = _basis_expansions()
-    # One equation per monomial, one unknown per basis commutator.
-    rows = [[Fraction(basis[j].get(c, 0)) for j in range(len(basis))]
-            + [Fraction(target.get(c, 0))] for c in cols]
-    rank = _eliminate(rows, cols=len(basis), reduced=True)
-    for row in rows[rank:]:
-        if row[-1] != 0:
-            raise TreeError("vector outside the span of the basis expansions")
-    sol = {}
-    for row in rows[:rank]:
-        j = next(i for i, x in enumerate(row[:-1]) if x != 0)
-        if row[-1]:
-            sol[BASIS_PERMS[j]] = row[-1]
-    return sol
+    vec = expand_tree(t)
+    coeffs = {k: vec[k] for k in sorted(vec) if k[-1] == 6}
+    if combination_vector((c, p) for p, c in coeffs.items()) != vec:
+        raise TreeError("vector outside the span of the basis expansions")
+    return coeffs
 
 
 def render_combination(coeffs: dict) -> str:
@@ -403,18 +366,6 @@ def appendix_report() -> dict:
     }
 
 
-def _tensor_matrix(vectors: list, labels=None) -> RationalMatrix:
-    cols = monomial_order(INDICES)
-    pos = {c: i for i, c in enumerate(cols)}
-    rows = []
-    for vec in vectors:
-        row = [0] * len(cols)
-        for k, v in vec.items():
-            row[pos[k]] = v
-        rows.append(row)
-    return RationalMatrix(rows, row_labels=labels, col_labels=cols)
-
-
 def verify_lemma_w() -> dict:
     """The dimension/intersection computation for the element w.
 
@@ -432,13 +383,13 @@ def verify_lemma_w() -> dict:
     rather than repaired silently.
     """
     printed_vectors = [combination_vector(PRINTED_RHS[k]) for k in range(1, 16)]
-    m = _tensor_matrix(printed_vectors, labels=[tree_text(t) for t in LEMMA_GENERATORS])
-    rank, kernel = rank_kernel(m)
+    m = _tensor_matrix(printed_vectors, INDICES)
+    rank, kernel = m.rank(), m.left_kernel()
     all_ones = bool(kernel) and all(x == kernel[0][0] for x in kernel[0])
 
     label_vectors = [expand_tree(t) for t in LEMMA_GENERATORS]
     label_matches = [lv == pv for lv, pv in zip(label_vectors, printed_vectors)]
-    literal_rank = _tensor_matrix(label_vectors).rank()
+    literal_rank = _tensor_matrix(label_vectors, INDICES).rank()
 
     return {
         "rank": rank,
@@ -459,7 +410,7 @@ def dim_spanned() -> int:
 
 def basis_rank() -> int:
     """Rank of the 24 distinguished basis expansions."""
-    return _tensor_matrix(list(_basis_expansions())).rank()
+    return _tensor_matrix((expand_tree(right_normed(p)) for p in BASIS_PERMS), INDICES).rank()
 
 
 def render_lemma_report(report: dict) -> str:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,10 @@ SEARCH_BLOCKS: tuple[tuple[str, ...], ...] = (
     ("a5", "c2", "c1", "a6"),
 )
 SEARCH_ORDER: tuple[str, ...] = tuple(v for block in SEARCH_BLOCKS for v in block)
+
+#: Most solutions integer_search lists; the product of the component
+#: counts is checked against it before the components are joined.
+MAX_SOLUTIONS = 10**6
 
 
 class PoleError(ZeroDivisionError):
@@ -90,10 +95,8 @@ class QSqrt3:
         if o is NotImplemented:
             return NotImplemented
         norm = o.a * o.a - 3 * o.b * o.b
-        if norm == 0:
-            if o.a == 0 and o.b == 0:
-                raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-            raise ArithmeticError("sqrt(3) is irrational; zero norm implies zero")
+        if norm == 0:  # a^2 = 3 b^2 has no rational solution but a = b = 0
+            raise ZeroDivisionError("division by zero in Q(sqrt 3)")
         return self * QSqrt3(o.a / norm, -o.b / norm)
 
     def __rtruediv__(self, o):
@@ -524,7 +527,8 @@ def integer_search(
       under every solution of the blocks before it.
 
     Returns (variables in canonical order, sorted solution tuples).
-    Unknown row labels raise ValueError.
+    Unknown row labels, and more than MAX_SOLUTIONS solutions, raise
+    ValueError.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -537,6 +541,11 @@ def integer_search(
         system = system.subsystem(labels)
     rows = [eq for eq in system if eq.terms]
     parts = [_search_component(component, bound) for component in _components(rows)]
+    count = math.prod(len(sols) for _, sols in parts)
+    if count > MAX_SOLUTIONS:
+        raise ValueError(
+            f"{count} solutions with |v| <= {bound} exceed the limit of {MAX_SOLUTIONS}"
+        )
     order = [v for names, _ in parts for v in names]
     canon = tuple(v for v in VARIABLES if v in order)
     place = [order.index(v) for v in canon]

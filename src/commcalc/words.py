@@ -170,13 +170,6 @@ def commutator(x: GroupWord, y: GroupWord) -> GroupWord:
     return x.inverse() * y.inverse() * x * y
 
 
-def free_reduce(w: GroupWord) -> GroupWord:
-    """Normal form in the free group.  GroupWord already stores the
-    normal form, so this is the identity; it exists as the named
-    operation and as the hook for reducing raw letter sequences."""
-    return GroupWord(w.letters)
-
-
 # ---------------------------------------------------------------------------
 # commutator expressions
 
@@ -226,11 +219,17 @@ class Conjugate(CommExpr):
 #
 # Whitespace is insignificant; "^-1" binds tighter than "*".
 
+#: Deepest bracket/parenthesis nesting the parser accepts.  The paper's
+#: expressions nest fewer than 10 levels; the limit keeps the recursive
+#: parser and tree walks far from the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -249,6 +248,16 @@ class _Tokens:
                 expected=repr(ch),
             )
         self.pos += 1
+
+    def open(self, ch: str):
+        self.take(ch)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos - 1)
+
+    def close(self, ch: str):
+        self.take(ch)
+        self.depth -= 1
 
     def name(self) -> tuple[str, int]:
         self.skip_ws()
@@ -319,16 +328,16 @@ def _power(base: CommExpr, n: int, offset: int) -> CommExpr:
 def _parse_base(toks: _Tokens, alphabet: Alphabet) -> CommExpr:
     ch = toks.peek()
     if ch == "[":
-        toks.take("[")
+        toks.open("[")
         left = _parse_expr(toks, alphabet)
         toks.take(",")
         right = _parse_expr(toks, alphabet)
-        toks.take("]")
+        toks.close("]")
         return Commutator(left, right)
     if ch == "(":
-        toks.take("(")
+        toks.open("(")
         inner = _parse_expr(toks, alphabet)
-        toks.take(")")
+        toks.close(")")
         return inner
     name, start = toks.name()
     if name not in alphabet:

@@ -120,6 +120,13 @@ def test_system_search_unknown_row_label_exits_2(capsys):
     assert code == 0 and report["payload"]["count"] == 1
 
 
+def test_system_search_too_many_solutions_exits_2(capsys):
+    # rows 8 and 13 share no variable: 1784 solutions each at bound 3
+    code, out, err = run(capsys, "system", "search", "--bound", "3", "--subsystem", "8,13")
+    assert code == 2 and out == ""
+    assert err == "error: 3182656 solutions with |v| <= 3 exceed the limit of 1000000\n"
+
+
 SAMPLE_FILE = """\
 # the sample solution of the first family at unit parameters
 a3 = -1
@@ -167,6 +174,16 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "magnus", "[m1,m9]", "--vars", "m1,m2")[0] == 2  # unknown gen
     code, _, err = run(capsys, "reduce", "[x,y")
     assert code == 2 and "offset" in err
+
+
+@pytest.mark.parametrize("command,options", [
+    (("reduce",), ()), (("magnus",), ("--vars", "m2,m3")), (("lie", "to-basis"), ()),
+])
+def test_deep_nesting_exits_2(capsys, command, options):
+    for text in ("[" * 5000 + "m2" + ",m3]" * 5000, "(" * 5000 + "m2" + ")" * 5000):
+        code, out, err = run(capsys, *command, text, *options)
+        assert code == 2 and out == ""
+        assert err.startswith("error: nesting deeper than") and err.count("\n") == 1
 
 
 def test_small_grid_rejected(capsys):

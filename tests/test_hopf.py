@@ -8,7 +8,6 @@ from commcalc import magnus
 from commcalc.hopf import (
     HopfScenario,
     InadmissibleSubstitutionError,
-    build_substituted_l1,
     find_substitutions,
     twisted_band_report,
     verify_hopf_triviality,
@@ -52,7 +51,7 @@ def test_inadmissible_substitutions_rejected():
     with pytest.raises(InadmissibleSubstitutionError):
         scenario.build_substituted_l1({a: m3, b: m3})
     with pytest.raises(InadmissibleSubstitutionError):
-        build_substituted_l1({a: m3})
+        scenario.build_substituted_l1({a: m3})
 
 
 def test_verify_hopf_triviality_certificates():

@@ -3,11 +3,12 @@ dimension/intersection computations."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from commcalc import magnus, words
+from commcalc import lie, magnus, words
 from commcalc.lie import (
     APPENDIX_RHS,
     BASIS_PERMS,
@@ -22,7 +23,6 @@ from commcalc.lie import (
     comm_expr_to_tree,
     combination_vector,
     expand_tree,
-    rank_kernel,
     right_normed,
     to_basis,
     tree_text,
@@ -101,14 +101,14 @@ def test_small_degree_ranks(d, expected):
 def test_full_degree5_matrix():
     m = build_expansion_matrix(INDICES)
     assert m.shape == (120, 120)
-    rank, kernel = rank_kernel(m)
+    rank, kernel = m.rank(), m.left_kernel()
     assert rank == 24
     assert len(kernel) == 96
 
 
 def test_zero_matrix_rank_kernel():
     m = RationalMatrix([[0, 0], [0, 0], [0, 0]])
-    rank, kernel = rank_kernel(m)
+    rank, kernel = m.rank(), m.left_kernel()
     assert rank == 0
     assert len(kernel) == 3
 
@@ -116,7 +116,7 @@ def test_zero_matrix_rank_kernel():
 def test_rank_kernel_deterministic():
     m1 = build_expansion_matrix(range(2, 6))
     m2 = build_expansion_matrix(range(2, 6))
-    assert rank_kernel(m1) == rank_kernel(m2)
+    assert (m1.rank(), m1.left_kernel()) == (m2.rank(), m2.left_kernel())
 
 
 def test_basis_rank_is_24():
@@ -151,17 +151,31 @@ def test_to_basis_requires_degree5_leaves():
 
 def test_every_right_normed_generator_lies_in_basis_span():
     # spanning half of the basis statement: all 120 right-normed
-    # commutators rewrite over the 24 distinguished ones
+    # commutators, and 300 random degree-5 trees, rewrite over the 24
+    # distinguished ones
     from itertools import permutations
 
-    for perm in permutations(INDICES):
-        coeffs = to_basis(right_normed(perm))
+    t0 = time.perf_counter()
+    rng = random.Random(2718)
+    trees = [right_normed(perm) for perm in permutations(INDICES)]
+    trees += [_random_tree(rng, rng.sample(INDICES, 5)) for _ in range(300)]
+    for tree in trees:
+        coeffs = to_basis(tree)
+        assert set(coeffs) <= set(BASIS_PERMS)
         vec: dict = {}
         for p, c in coeffs.items():
             for k, v in expand_tree(right_normed(p)).items():
                 vec[k] = vec.get(k, 0) + c * v
         vec = {k: v for k, v in vec.items() if v}
-        assert vec == expand_tree(right_normed(perm))
+        assert vec == expand_tree(tree)
+    # the read-off runs no elimination: 420 rewrites take ~0.1 s
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_to_basis_span_check(monkeypatch):
+    monkeypatch.setattr(lie, "combination_vector", lambda terms: {})
+    with pytest.raises(TreeError, match="outside the span"):
+        to_basis(right_normed((2, 3, 4, 5, 6)))
 
 
 def test_appendix_identities_all_verify():

@@ -328,6 +328,13 @@ def test_unknown_row_labels_rejected():
     assert integer_search(2, [1]) == ((), [()])
 
 
+def test_solution_count_limited_before_join():
+    # rows 8 and 13 share no variable, so their solutions multiply
+    assert len(integer_search(3, [8])[1]) == len(integer_search(3, [13])[1]) == 1784
+    with pytest.raises(ValueError, match="3182656 solutions .* limit of 1000000"):
+        integer_search(3, [8, 13])
+
+
 def test_system_is_built_once_and_cross_checked(monkeypatch):
     assert obstruction_system() is obstruction_system()
     drifted = list(obstruction._SOLVER_LINES)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from commcalc.words import (
+    MAX_NESTING,
     Alphabet,
     Commutator,
     Conjugate,
@@ -17,7 +18,6 @@ from commcalc.words import (
     UnmappedGeneratorError,
     commutator,
     expr_to_word,
-    free_reduce,
     parse_expr,
     print_expr,
     substitute,
@@ -100,6 +100,20 @@ def test_zero_exponent_rejected():
         parse_expr("x^0", ABC)
 
 
+def test_nesting_depth_limited():
+    for depth in (MAX_NESTING, MAX_NESTING + 1, 5000):
+        brackets = "[" * depth + "x" + ",y]" * depth
+        parens = "(" * depth + "x" + ")" * depth
+        if depth <= MAX_NESTING:
+            assert print_expr(parse_expr(brackets, ABC)) == brackets
+            assert parse_expr(parens, ABC) == Leaf(ABC["x"])
+            continue
+        for text in (brackets, parens):
+            with pytest.raises(ParseError, match="nesting deeper than") as err:
+                parse_expr(text, ABC)
+            assert err.value.offset == MAX_NESTING
+
+
 def test_commutator_convention():
     # [x,y] = x^-1 y^-1 x y
     w = expr_to_word(parse_expr("[x,y]", ABC))
@@ -121,12 +135,12 @@ def test_conjugation_convention():
 def test_free_reduction_cancels():
     w = GroupWord(((ABC["x"], 1), (ABC["x"], -1)))
     assert w.is_identity()
-    assert free_reduce(w) == w
+    assert GroupWord(w.letters) == w
 
 
 def test_reduced_word_unchanged():
     w = expr_to_word(parse_expr("[x,y]", ABC))
-    assert free_reduce(w) == w and len(w) == 4
+    assert GroupWord(w.letters) == w and len(w) == 4
 
 
 def test_hall_witt_reduces_to_identity():
