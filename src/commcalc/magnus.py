@@ -8,12 +8,16 @@ n=5) and makes every inverse a finite geometric series.
 
 A word is trivial in the free Milnor group exactly when its expansion
 here is 1; the expansion of g^-1 collapses to 1 - x because the higher
-powers of a single variable die in the quotient.
+powers of a single variable die in the quotient.  For the same reason
+a run of e equal letters expands to (1 +- x)^|e| = 1 + e x, so `expand`
+multiplies in one run at a time, updating its terms in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable
 
 from .words import Generator, GroupWord, UnmappedGeneratorError
@@ -161,12 +165,35 @@ class MagnusPoly:
 
 
 def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
-    """Magnus expansion of a word: the product of per-letter expansions,
-    letter by letter left to right."""
-    p = MagnusPoly.one()
-    for g, s in w.letters:
-        p = p * MagnusPoly.letter(vars.index_of(g), s)
-    return p
+    """Magnus expansion of a word: the product of its letters'
+    expansions, left to right, one run of a generator at a time.
+
+    Multiplying by a run's 1 + e x_i adds e*c to k + (i,) for every
+    term c x_k whose k lacks i.  The terms are kept grouped by the set
+    of indices they contain (a bitmask), so the sources are whole
+    groups without i's bit, and the targets land in groups with it:
+    no source changes while a run is multiplied in."""
+    bit = {i: 1 << p for p, i in enumerate(vars.indices)}
+    by_support = {0: {(): 1}}
+    for g, run in groupby(w.letters, key=itemgetter(0)):
+        i = vars.index_of(g)
+        b = bit[i]
+        e = sum(s for _, s in run)
+        for support, sources in list(by_support.items()):
+            if support & b:
+                continue
+            targets = by_support.setdefault(support | b, {})
+            for k, c in sources.items():
+                t = k + (i,)
+                c = targets.get(t, 0) + e * c
+                if c:
+                    targets[t] = c
+                else:
+                    del targets[t]
+    terms: dict = {}
+    for group in by_support.values():
+        terms.update(group)
+    return MagnusPoly(terms)
 
 
 def invert(p: MagnusPoly) -> MagnusPoly:

@@ -9,11 +9,20 @@ letter-for-letter):
 Under these, [x,yz] = [x,z] [x,y]^z, [xz,y] = [x,y]^z [z,y], and the
 Hall-Witt word [[x,y],z^x] [[z,x],y^z] [[y,z],x^y] freely reduces to
 the identity.
+
+Building a word costs time linear in its length.  A product of two
+reduced words can cancel only at the junction, so `GroupWord.__mul__`
+strips the matching letters there and reduces nothing else; a power or
+a `Product` expression joins all its letters and reduces them once
+with a stack.  Flattened words are limited to `MAX_WORD_LENGTH`
+letters: each level of a commutator doubles the length, so twenty
+nested brackets already give two million letters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 
@@ -99,6 +108,12 @@ class Alphabet:
         return expr_to_word(parse_expr(text, self))
 
 
+#: Most letters a flattened word may have.  Powers above this are a
+#: ParseError and longer expression words a WordError, so hostile input
+#: fails at once instead of exhausting time or memory.
+MAX_WORD_LENGTH = 10**6
+
+
 def _reduce_letters(letters) -> tuple:
     out: list = []
     for g, s in letters:
@@ -107,6 +122,13 @@ def _reduce_letters(letters) -> tuple:
         else:
             out.append((g, s))
     return tuple(out)
+
+
+def _reduced(letters: tuple) -> "GroupWord":
+    """Wrap letters that are already freely reduced, skipping the pass."""
+    w = object.__new__(GroupWord)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 @dataclass(frozen=True)
@@ -130,10 +152,15 @@ class GroupWord:
         return GroupWord(((g, sign),))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord(self.letters + other.letters)
+        # both factors are reduced, so only the junction can cancel
+        a, b = self.letters, other.letters
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k][0] == b[k][0] and a[-1 - k][1] == -b[k][1]:
+            k += 1
+        return _reduced(a[: len(a) - k] + b[k:])
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(tuple((g, -s) for g, s in reversed(self.letters)))
+        return _reduced(tuple((g, -s) for g, s in reversed(self.letters)))
 
     def conjugate(self, by: "GroupWord") -> "GroupWord":
         """self^by = by^-1 * self * by."""
@@ -142,10 +169,7 @@ class GroupWord:
     def __pow__(self, n: int) -> "GroupWord":
         if n < 0:
             return self.inverse() ** (-n)
-        out = GroupWord()
-        for _ in range(n):
-            out = out * self
-        return out
+        return GroupWord(self.letters * n)
 
     def is_identity(self) -> bool:
         return not self.letters
@@ -318,6 +342,8 @@ def _parse_factor(toks: _Tokens, alphabet: Alphabet) -> CommExpr:
 def _power(base: CommExpr, n: int, offset: int) -> CommExpr:
     if n == 0:
         raise ParseError("zero exponent has no expression form", offset, expected="nonzero integer")
+    if abs(n) > MAX_WORD_LENGTH:
+        raise ParseError(f"exponent larger than {MAX_WORD_LENGTH} in absolute value", offset)
     if n < 0:
         return Inverse(_power(base, -n, offset))
     if n == 1:
@@ -393,20 +419,32 @@ def substitute(
     if isinstance(e, Inverse):
         return substitute(e.base, mapping, require_total).inverse()
     if isinstance(e, Product):
-        out = GroupWord()
+        # a parsed power repeats one factor object n times: flatten it once
+        flat: dict = {}
         for f in e.factors:
-            out = out * substitute(f, mapping, require_total)
-        return out
+            if id(f) not in flat:
+                flat[id(f)] = substitute(f, mapping, require_total).letters
+        parts = [flat[id(f)] for f in e.factors]
+        _check_length(sum(map(len, parts)))
+        return GroupWord(tuple(chain.from_iterable(parts)))
     if isinstance(e, Commutator):
-        return commutator(
-            substitute(e.left, mapping, require_total),
-            substitute(e.right, mapping, require_total),
-        )
+        x = substitute(e.left, mapping, require_total)
+        y = substitute(e.right, mapping, require_total)
+        _check_length(2 * (len(x) + len(y)))
+        return commutator(x, y)
     if isinstance(e, Conjugate):
-        return substitute(e.base, mapping, require_total).conjugate(
-            substitute(e.by, mapping, require_total)
-        )
+        x = substitute(e.base, mapping, require_total)
+        by = substitute(e.by, mapping, require_total)
+        _check_length(len(x) + 2 * len(by))
+        return x.conjugate(by)
     raise TypeError(f"not a CommExpr: {e!r}")
+
+
+def _check_length(bound: int) -> None:
+    if bound > MAX_WORD_LENGTH:
+        raise WordError(
+            f"word of up to {bound} letters exceeds the limit of {MAX_WORD_LENGTH}"
+        )
 
 
 def expr_to_word(e: CommExpr) -> GroupWord:

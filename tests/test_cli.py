@@ -186,6 +186,21 @@ def test_deep_nesting_exits_2(capsys, command, options):
         assert err.startswith("error: nesting deeper than") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,options", [(("reduce",), ()), (("magnus",), ("--vars", "m2,m3"))])
+def test_word_length_limit_exits_2(capsys, command, options):
+    cases = {
+        "m2^1000001": "error: exponent larger than 1000000",
+        "m2^-3000000": "error: exponent larger than 1000000",
+        "[" * 20 + "m2" + ",m3]" * 20: "error: word of up to",  # 2^20 letters
+        "[" * 30 + "m2" + ",m3]" * 30: "error: word of up to",
+        "(m2*m3)^600000": "error: word of up to",
+    }
+    for text, message in cases.items():
+        code, out, err = run(capsys, *command, text, *options)
+        assert code == 2 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_small_grid_rejected(capsys):
     code, _, err = run(capsys, "verify", "families", "--grid", "5")
     assert code == 2

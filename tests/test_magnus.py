@@ -1,6 +1,7 @@
 """Expansion in the squarefree ring: values, laws, rendering."""
 
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from commcalc.words import Alphabet, GroupWord, UnmappedGeneratorError, commutat
 ABC = Alphabet(["g1", "g2", "g3"])
 VARS = VariableSet.from_generators(ABC.generators)
 G1, G2, G3 = (GroupWord.generator(g) for g in ABC.generators)
+SIX = Alphabet([f"g{i}" for i in range(1, 7)])
 
 
 def test_single_letter_expansions():
@@ -144,3 +146,62 @@ def test_variable_set_indexing():
     plain = Alphabet(["a", "b"])
     vs = VariableSet.from_generators(plain.generators)
     assert vs.indices == (1, 2)
+
+
+def _letter_by_letter(w: GroupWord, vars: VariableSet) -> MagnusPoly:
+    """The definition: the ring product of every letter's 1 + x or 1 - x."""
+    p = MagnusPoly.one()
+    for g, s in w.letters:
+        p = p * MagnusPoly.letter(vars.index_of(g), s)
+    return p
+
+
+def _word_with_runs(rng, gens, runs) -> GroupWord:
+    letters = []
+    for _ in range(runs):
+        letters += [(rng.choice(gens), rng.choice((1, -1)))] * rng.randrange(1, 9)
+    return GroupWord(tuple(letters))
+
+
+def test_runwise_expansion_matches_letter_by_letter_product():
+    rng = random.Random(2029)
+    for n in range(1, 7):
+        gens = list(SIX.generators[:n])
+        vars_ = VariableSet.from_generators(gens)
+        for _ in range(30):
+            u = _word_with_runs(rng, gens, rng.randrange(8))
+            v = _word_with_runs(rng, gens, rng.randrange(8))
+            for w in (u, u * v, u * v * u.inverse(), commutator(u, v), u * u.inverse()):
+                assert expand(w, vars_) == _letter_by_letter(w, vars_)
+    # indices far apart and out of order, as trailing-number names give
+    named = Alphabet(["m9", "m2", "m40"])
+    vars_ = VariableSet.from_generators(named.generators)
+    w = _word_with_runs(rng, list(named.generators), 30)
+    assert expand(w, vars_) == _letter_by_letter(w, vars_)
+
+
+def test_run_of_equal_letters_is_one_plus_e_x():
+    for e in (1, 2, 7, -1, -5):
+        w = G1**e
+        assert expand(w, VARS).terms == {(): 1, (1,): e}
+        assert expand(w * G2**3 * w.inverse(), VARS).terms == {
+            (): 1, (2,): 3, (1, 2): 3 * e, (2, 1): -3 * e,
+        }
+
+
+def test_long_word_over_six_generators_within_budget():
+    # an 800-letter word over six generators fills the ring (1957 terms);
+    # letter by letter it took about 2.4 s, run by run about 0.1 s (budget 1.5 s)
+    rng = random.Random(2030)
+    gens = list(SIX.generators)
+    w = GroupWord(tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(960)))
+    vars_ = VariableSet.from_generators(gens)
+    t0 = time.perf_counter()
+    p = expand(w, vars_)
+    elapsed = time.perf_counter() - t0
+    assert 780 <= len(w) <= 820
+    assert elapsed < 1.5
+    assert len(p.terms) == 1957
+    assert p.degree_part(1) == {
+        (vars_.index_of(g),): sum(s for h, s in w.letters if h == g) for g in gens
+    }

@@ -1,11 +1,14 @@
 """Free-group words, commutator expressions, parsing, substitution."""
 
 import random
+import time
 
 import pytest
 
+from commcalc import words
 from commcalc.words import (
     MAX_NESTING,
+    MAX_WORD_LENGTH,
     Alphabet,
     Commutator,
     Conjugate,
@@ -16,6 +19,7 @@ from commcalc.words import (
     Product,
     UnknownGeneratorError,
     UnmappedGeneratorError,
+    WordError,
     commutator,
     expr_to_word,
     parse_expr,
@@ -263,3 +267,111 @@ def test_total_substitution_requires_every_generator():
         substitute(e, {ABC["x"]: Y}, require_total=True)
     # partial substitution leaves unmapped leaves alone
     assert substitute(e, {ABC["x"]: X}) == commutator(X, Y)
+
+
+def _random_runs(rng, gens, max_runs=8) -> GroupWord:
+    """A reduced word built from runs of one signed generator, so that
+    products of such words cancel in long stretches."""
+    letters = []
+    for _ in range(rng.randrange(max_runs + 1)):
+        letters += [(rng.choice(gens), rng.choice((1, -1)))] * rng.randrange(1, 6)
+    return GroupWord(tuple(letters))
+
+
+def _slow_reduce(letters) -> tuple:
+    """Cancel adjacent inverse pairs until none is left: the definition
+    of free reduction, with no stack."""
+    letters = list(letters)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(letters) - 1):
+            (g, s), (h, t) = letters[k], letters[k + 1]
+            if g == h and s == -t:
+                del letters[k : k + 2]
+                changed = True
+                break
+    return tuple(letters)
+
+
+def test_junction_product_equals_full_reduction():
+    rng = random.Random(2026)
+    gens = list(ABC.generators)
+    for _ in range(600):
+        a = _random_runs(rng, gens)
+        b = rng.choice([
+            _random_runs(rng, gens),
+            a.inverse(),  # cancels completely
+            a.inverse() * _random_runs(rng, gens),  # cancels all of a
+            GroupWord(a.inverse().letters[: rng.randrange(len(a) + 1)]),  # a suffix of a
+        ])
+        product = a * b
+        assert product == GroupWord(a.letters + b.letters)
+        assert product.letters == _slow_reduce(a.letters + b.letters)
+        assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
+
+
+def test_power_equals_repeated_product():
+    rng = random.Random(2027)
+    gens = list(ABC.generators)
+    for _ in range(300):
+        w = _random_runs(rng, gens, max_runs=5)
+        if rng.random() < 0.3:  # cyclically unreduced: powers cancel inside
+            w = _random_runs(rng, gens, 2) * w * _random_runs(rng, gens, 2).inverse()
+        n = rng.randrange(-6, 7)
+        repeated = GroupWord()
+        for _ in range(abs(n)):
+            repeated = repeated * (w if n > 0 else w.inverse())
+        assert w**n == repeated
+        assert (w**n).letters == _slow_reduce((w if n > 0 else w.inverse()).letters * abs(n))
+        if n and w.letters:
+            text = str(w).replace(" ", "*")
+            assert expr_to_word(parse_expr(f"({text})^{n}", ABC)) == repeated
+
+
+def test_inverse_of_reduced_word_is_reduced():
+    rng = random.Random(2028)
+    gens = list(ABC.generators)
+    for _ in range(200):
+        w = _random_runs(rng, gens)
+        assert w.inverse().letters == _slow_reduce(w.inverse().letters)
+        assert w.inverse().inverse() == w
+
+
+def test_exponent_limited():
+    assert parse_expr(f"x^{MAX_WORD_LENGTH}", ABC) == Product((Leaf(ABC["x"]),) * MAX_WORD_LENGTH)
+    for text in (f"x^{MAX_WORD_LENGTH + 1}", f"x^-{MAX_WORD_LENGTH + 1}", "x^" + "9" * 30):
+        with pytest.raises(ParseError, match="exponent larger than") as err:
+            parse_expr(text, ABC)
+        assert err.value.offset == 2
+
+
+def test_flattened_length_limited(monkeypatch):
+    # twenty nested [.,y] double the word twenty times: over 10^6 letters
+    nested = "[" * 20 + "x" + ",y]" * 20
+    with pytest.raises(WordError, match="exceeds the limit"):
+        expr_to_word(parse_expr(nested, ABC))
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 100)
+    within = {
+        "[x^25,y^25]": 100,  # commutator: 2(|x| + |y|)
+        "(x^50)^(y^25)": 100,  # conjugate: |x| + 2|y|
+        "(x*y)^50": 100,  # product: the sum of the factors
+        "x^50*x^-50": 0,
+    }
+    for text, length in within.items():
+        assert len(expr_to_word(parse_expr(text, ABC))) == length
+    # the bound counts letters before reduction: x^100*x^-1 has 99 after it
+    for text in ("[x^25,y^26]", "(x^50)^(y^26)", "(x*y)^50*z", "x^100*x^-1"):
+        with pytest.raises(WordError, match="exceeds the limit"):
+            expr_to_word(parse_expr(text, ABC))
+    with pytest.raises(ParseError, match="exponent larger than"):
+        parse_expr("x^101", ABC)
+
+
+def test_long_power_builds_in_linear_time():
+    # x^10000 took about 20 s when every product re-reduced the whole word;
+    # it takes about 10 ms now (budget 0.5 s)
+    t0 = time.perf_counter()
+    w = expr_to_word(parse_expr("x^10000*y*x^-10000*(y*x)^5000", ABC))
+    assert time.perf_counter() - t0 < 0.5
+    assert len(w) == 10000 + 1 + 10000 + 10000
