@@ -3,8 +3,9 @@
 Every command emits a human-readable report on stdout and, with
 --json, a JSON document conforming to data/report_schema.json.  Exit
 codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
-input error.  Reports are byte-stable across re-runs apart from the
-timing field.
+input error, 3 internal error (a defect in commcalc, reported as one
+"internal error:" line on stderr).  Reports are byte-stable across
+re-runs apart from the timing field.
 """
 
 from __future__ import annotations
@@ -171,24 +172,20 @@ FAMILY1_SAMPLE_POINT = {
 }
 
 
-def _families_payload(grid_size: int) -> dict:
-    grid = obstruction.default_grid(grid_size)
-    reports = {str(k): obstruction.verify_family(k, grid) for k in (1, 2, 3)}
-    system = obstruction.obstruction_system()
-    sample = obstruction.evaluate(system, FAMILY1_SAMPLE_POINT)
+def _families_payload() -> dict:
+    reports = {str(k): obstruction.verify_family(k) for k in (1, 2, 3)}
+    sample = obstruction.evaluate(obstruction.obstruction_system(), FAMILY1_SAMPLE_POINT)
     sample_zero = all(v.is_zero() for v in sample.values())
-    facts = reports["1"]["closed_form_facts"]
-    payload = {
-        "grid_size": grid_size,
+    return {
+        "grid_size": 13,
         "families": reports,
         "sample_point_residuals_zero": sample_zero,
         "passed": (
             all(r["all_residuals_zero"] for r in reports.values())
             and sample_zero
-            and all(facts.values())
+            and all(reports["1"]["closed_form_facts"].values())
         ),
     }
-    return payload
 
 
 def _transcription_payload() -> dict:
@@ -226,10 +223,10 @@ def cmd_verify(args) -> int:
             f"jacobi {h['jacobi_product_trivial']}, hall-witt {h['hall_witt_trivial']}"
         )
     if target in ("families", "all"):
-        sections["families"] = _families_payload(args.grid)
+        sections["families"] = _families_payload()
         f = sections["families"]
         text.append(
-            f"families on the {args.grid}x{args.grid} grid: "
+            "families on the 13x13 grid: "
             + ", ".join(
                 f"{k}: {'pass' if v['all_residuals_zero'] else 'FAIL'}"
                 for k, v in sorted(f["families"].items())
@@ -379,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         "target", choices=["lemma41", "appendix", "hopf", "families", "all"]
     )
     p.add_argument("--json", action="store_true")
-    p.add_argument("--grid", type=int, default=13, help="family grid size (default 13)")
     p.add_argument("--bound", type=int, default=5, help="search bound for 'all' (default 5)")
     p.set_defaults(func=cmd_verify)
 
@@ -410,6 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     except (words.WordError, obstruction.PoleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,7 +1,11 @@
 """The 14-equation band-sum obstruction system: exact evaluation, the
 three parametric solution families over Q(sqrt 3), and an exact bounded
-search certifying the absence of small integer solutions.  The search
-is factored: rows sharing no variable are searched apart and joined by
+search certifying the absence of small integer solutions.
+
+Each family is a plain function (b1, b5) -> point in the source's
+printed shape, certified by exact evaluation on the fixed 13 x 13 grid
+(a degree bound makes that a proof; see verify_family).  The search is
+factored: rows sharing no variable are searched apart and joined by
 product, each row's last variable is solved rather than enumerated,
 and a block of SEARCH_BLOCKS whose rows read only its own variables is
 solved once and reused.
@@ -83,6 +87,8 @@ class QSqrt3:
         return self._coerce(o) - self
 
     def __mul__(self, o):
+        if isinstance(o, (int, Fraction)):  # a rational scalar: two products, not four
+            return QSqrt3(self.a * o, self.b * o)
         o = self._coerce(o)
         if o is NotImplemented:
             return NotImplemented
@@ -146,31 +152,15 @@ class Equation:
     terms: tuple  # ((coeff, (var, ...)), ...)
     target: int
 
-    def evaluate(self, assignment: dict) -> QSqrt3:
-        total = QSqrt3(0)
+    def residual(self, assignment: dict) -> QSqrt3:
+        """Value minus target at an assignment of QSqrt3 values."""
+        total = QSqrt3(-self.target)
         for coeff, mono in self.terms:
-            t = QSqrt3(coeff)
+            t = coeff
             for v in mono:
                 t = t * assignment[v]
             total = total + t
         return total
-
-    def residual(self, assignment: dict) -> QSqrt3:
-        return self.evaluate(assignment) - QSqrt3(self.target)
-
-    def text(self) -> str:
-        if not self.terms:
-            return f"0 = {self.target}"
-        parts = []
-        for i, (coeff, mono) in enumerate(self.terms):
-            body = "*".join(mono)
-            if abs(coeff) != 1:
-                body = f"{abs(coeff)}*{body}"
-            if i == 0:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return f"{' '.join(parts)} = {self.target}"
 
 
 # Equation-table source: rows (1)-(15); row (1) is the base row that is
@@ -280,9 +270,6 @@ class PolySystem:
         used = {v for eq in self.equations for (_, mono) in eq.terms for v in mono}
         return tuple(v for v in VARIABLES if v in used)
 
-    def serialize(self) -> str:
-        return "\n".join(eq.text() for eq in self.equations)
-
 
 @functools.cache
 def obstruction_system() -> PolySystem:
@@ -307,196 +294,105 @@ def evaluate(system: PolySystem, assignment: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# parametric solution families over Q(sqrt 3)
-#
-# Expression trees: ("const", QSqrt3) | ("param", "b1"|"b5") |
-# (op, left, right) for op in {"add","sub","mul","div"}.  Division by a
-# vanishing denominator raises PoleError; the pole set of every family
-# is exactly {b1 = 0} u {b5 = 0}.
-
-Expr = tuple
+# parametric solution families over Q(sqrt 3), (b1, b5) -> point, as
+# printed in the source with s = sqrt 3.  Every denominator is a nonzero
+# constant times b1 or b5: the pole set is exactly {b1 = 0} u {b5 = 0}.
 
 
-def _c(a, b=0) -> Expr:
-    return ("const", QSqrt3(a, b))
+def _family_1(b1, b5) -> dict:
+    """The rational family: c3 = c4 = -1/(4 b5), c1 = 0."""
+    return {
+        "a3": -1 / b1, "a4": -1 / b1,
+        "a5": -2 * b5 / b1, "a6": -2 * b5 / b1,
+        "b1": b1, "b2": 2 * b1,
+        "b5": b5, "b6": -3 * b5,
+        "c1": QSqrt3(0), "c2": -b1 / (2 * b5),
+        "c3": -1 / (4 * b5), "c4": -1 / (4 * b5),
+    }
 
 
-_B1: Expr = ("param", "b1")
-_B5: Expr = ("param", "b5")
+def _family_2(b1, b5) -> dict:
+    """a3 = -s/(2 b1); irrational in every coordinate that is forced
+    away from Q."""
+    s = SQRT3
+    return {
+        "a3": -s / (2 * b1), "a4": -s / (2 * b1),
+        "a5": QSqrt3(0), "a6": 3 * (-5 * b5 - 3 * s * b5) / (2 * (3 * b1 + 2 * s * b1)),
+        "b1": b1, "b2": Fraction(1, 3) * (3 * b1 + 2 * s * b1),
+        "b5": b5, "b6": -b5 - s * b5,
+        "c1": -2 * (3 * b1 + 2 * s * b1) / (3 * (5 + 3 * s) * b5),
+        "c2": -2 * (3 * b1 + 2 * s * b1) / (3 * (5 + 3 * s) * b5),
+        "c3": (-1 - s) / ((5 + 3 * s) * b5), "c4": (-1 - s) / ((5 + 3 * s) * b5),
+    }
 
 
-def _add(l, r):
-    return ("add", l, r)
+def _family_3(b1, b5) -> dict:
+    """The Galois conjugate shape, a3 = +s/(2 b1)."""
+    s = SQRT3
+    return {
+        "a3": s / (2 * b1), "a4": s / (2 * b1),
+        "a5": QSqrt3(0), "a6": 3 * (5 * b5 - 3 * s * b5) / (2 * (-3 * b1 + 2 * s * b1)),
+        "b1": b1, "b2": Fraction(1, 3) * (3 * b1 - 2 * s * b1),
+        "b5": b5, "b6": -b5 + s * b5,
+        "c1": -2 * (-3 * b1 + 2 * s * b1) / (3 * (-5 + 3 * s) * b5),
+        "c2": -2 * (-3 + 2 * s) * b1 / (3 * (-5 + 3 * s) * b5),
+        "c3": (1 - s) / ((-5 + 3 * s) * b5), "c4": (1 - s) / ((-5 + 3 * s) * b5),
+    }
 
 
-def _sub(l, r):
-    return ("sub", l, r)
-
-
-def _mul(l, r):
-    return ("mul", l, r)
-
-
-def _div(l, r):
-    return ("div", l, r)
-
-
-def eval_expr(e: Expr, b1: QSqrt3, b5: QSqrt3) -> QSqrt3:
-    kind = e[0]
-    if kind == "const":
-        return e[1]
-    if kind == "param":
-        return b1 if e[1] == "b1" else b5
-    left = eval_expr(e[1], b1, b5)
-    right = eval_expr(e[2], b1, b5)
-    if kind == "add":
-        return left + right
-    if kind == "sub":
-        return left - right
-    if kind == "mul":
-        return left * right
-    if kind == "div":
-        if right.is_zero():
-            raise PoleError("family evaluated on its pole set (b1=0 or b5=0)")
-        return left / right
-    raise ValueError(f"bad expression node {e!r}")
-
-
-def expr_text(e: Expr) -> str:
-    kind = e[0]
-    if kind == "const":
-        return str(e[1])
-    if kind == "param":
-        return e[1]
-    op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
-    return f"({expr_text(e[1])} {op} {expr_text(e[2])})"
-
-
-# Family 1: the rational family.  c3 = c4 = -1/(4 b5), c1 = 0.
-FAMILY_1: dict = {
-    "a3": _div(_c(-1), _B1),
-    "a4": _div(_c(-1), _B1),
-    "a5": _div(_mul(_c(-2), _B5), _B1),
-    "a6": _div(_mul(_c(-2), _B5), _B1),
-    "b1": _B1,
-    "b2": _mul(_c(2), _B1),
-    "b5": _B5,
-    "b6": _mul(_c(-3), _B5),
-    "c1": _c(0),
-    "c2": _div(_mul(_c(-1), _B1), _mul(_c(2), _B5)),
-    "c3": _div(_c(-1), _mul(_c(4), _B5)),
-    "c4": _div(_c(-1), _mul(_c(4), _B5)),
-}
-
-# Family 2: a3 = -sqrt3/(2 b1); irrational in every coordinate that is
-# forced away from Q.
-FAMILY_2: dict = {
-    "a3": _div(_c(0, -1), _mul(_c(2), _B1)),
-    "a4": _div(_c(0, -1), _mul(_c(2), _B1)),
-    "a5": _c(0),
-    "a6": _div(_mul(_c(3), _sub(_mul(_c(-5), _B5), _mul(_c(0, 3), _B5))),
-               _mul(_c(2), _add(_mul(_c(3), _B1), _mul(_c(0, 2), _B1)))),
-    "b1": _B1,
-    "b2": _mul(_c(Fraction(1, 3)), _add(_mul(_c(3), _B1), _mul(_c(0, 2), _B1))),
-    "b5": _B5,
-    "b6": _sub(_mul(_c(-1), _B5), _mul(_c(0, 1), _B5)),
-    "c1": _div(_mul(_c(-2), _add(_mul(_c(3), _B1), _mul(_c(0, 2), _B1))),
-               _mul(_mul(_c(3), _c(5, 3)), _B5)),
-    "c2": _div(_mul(_c(-2), _add(_mul(_c(3), _B1), _mul(_c(0, 2), _B1))),
-               _mul(_mul(_c(3), _c(5, 3)), _B5)),
-    "c3": _div(_c(-1, -1), _mul(_c(5, 3), _B5)),
-    "c4": _div(_c(-1, -1), _mul(_c(5, 3), _B5)),
-}
-
-# Family 3: the Galois conjugate shape, a3 = +sqrt3/(2 b1).
-FAMILY_3: dict = {
-    "a3": _div(_c(0, 1), _mul(_c(2), _B1)),
-    "a4": _div(_c(0, 1), _mul(_c(2), _B1)),
-    "a5": _c(0),
-    "a6": _div(_mul(_c(3), _sub(_mul(_c(5), _B5), _mul(_c(0, 3), _B5))),
-               _mul(_c(2), _add(_mul(_c(-3), _B1), _mul(_c(0, 2), _B1)))),
-    "b1": _B1,
-    "b2": _mul(_c(Fraction(1, 3)), _sub(_mul(_c(3), _B1), _mul(_c(0, 2), _B1))),
-    "b5": _B5,
-    "b6": _add(_mul(_c(-1), _B5), _mul(_c(0, 1), _B5)),
-    "c1": _div(_mul(_c(-2), _add(_mul(_c(-3), _B1), _mul(_c(0, 2), _B1))),
-               _mul(_mul(_c(3), _c(-5, 3)), _B5)),
-    "c2": _div(_mul(_mul(_c(-2), _c(-3, 2)), _B1),
-               _mul(_mul(_c(3), _c(-5, 3)), _B5)),
-    "c3": _div(_c(1, -1), _mul(_c(-5, 3), _B5)),
-    "c4": _div(_c(1, -1), _mul(_c(-5, 3), _B5)),
-}
-
-FAMILIES: dict = {1: FAMILY_1, 2: FAMILY_2, 3: FAMILY_3}
+FAMILIES: dict = {1: _family_1, 2: _family_2, 3: _family_3}
 
 
 def family_assignment(family_id: int, b1, b5) -> dict:
-    exprs = FAMILIES[family_id]
+    """The point of family `family_id` at parameters (b1, b5); raises
+    PoleError on the pole set b1 = 0 or b5 = 0."""
     b1 = b1 if isinstance(b1, QSqrt3) else QSqrt3(b1)
     b5 = b5 if isinstance(b5, QSqrt3) else QSqrt3(b5)
-    return {v: eval_expr(e, b1, b5) for v, e in exprs.items()}
+    if b1.is_zero() or b5.is_zero():
+        raise PoleError("family evaluated on its pole set (b1=0 or b5=0)")
+    return FAMILIES[family_id](b1, b5)
 
 
-def family_text(family_id: int) -> str:
-    """Arrow-style serialization of a family's closed forms."""
-    exprs = FAMILIES[family_id]
-    return "\n".join(f"{v} -> {expr_text(exprs[v])}" for v in VARIABLES)
+def default_grid() -> list[tuple[Fraction, Fraction]]:
+    """The 13 x 13 grid {1..13}^2 of parameter values (b1, b5)."""
+    return [(Fraction(i), Fraction(j)) for i in range(1, 14) for j in range(1, 14)]
 
 
-def default_grid(n: int = 13) -> list[tuple[Fraction, Fraction]]:
-    return [(Fraction(i), Fraction(j)) for i in range(1, n + 1) for j in range(1, n + 1)]
-
-
-def verify_family(family_id: int, grid: Sequence[tuple] | None = None) -> dict:
-    """Evaluate a family at every grid point with exact arithmetic.
+def verify_family(family_id: int) -> dict:
+    """Evaluate a family exactly at every point of the 13 x 13 grid.
 
     After clearing denominators, each residual numerator is a
-    polynomial in (b1, b5) of total degree at most 12, so vanishing on
-    a 13 x 13 grid with distinct coordinates per parameter forces the
-    identical-zero polynomial: the grid pass is a proof of the family,
-    not a spot check.
+    polynomial of degree at most 12 in each of b1 and b5, so vanishing
+    on the grid forces it to be zero (Alon, "Combinatorial
+    Nullstellensatz", 1999): the grid pass is a proof of the family,
+    not a spot check.  Family 1's report also holds its closed-form
+    facts c3 = c4, c3 * b5 = -1/4 and c1 = 0, checked at the same points.
     """
     if family_id not in FAMILIES:
         raise ValueError(f"family id must be 1..3, got {family_id}")
-    grid = default_grid() if grid is None else list(grid)
-    b1s = {p[0] for p in grid}
-    b5s = {p[1] for p in grid}
-    if len(b1s) < 13 or len(b5s) < 13:
-        raise ValueError("degree-bound certificate needs >= 13 distinct values per parameter")
     system = obstruction_system()
+    points = [(b1, b5, family_assignment(family_id, b1, b5)) for b1, b5 in default_grid()]
     failures = []
-    for b1, b5 in grid:
-        res = evaluate(system, family_assignment(family_id, b1, b5))
+    for b1, b5, env in points:
+        res = evaluate(system, env)
         bad = {k: str(v) for k, v in res.items() if not v.is_zero()}
         if bad:
             failures.append({"point": (str(b1), str(b5)), "residuals": bad})
     report = {
         "family": family_id,
-        "grid_points": len(grid),
+        "grid_points": len(points),
         "all_residuals_zero": not failures,
         "failures": failures,
     }
     if family_id == 1:
-        report["closed_form_facts"] = _family1_facts()
+        report["closed_form_facts"] = {
+            "c3_equals_c4": all(env["c3"] == env["c4"] for _, _, env in points),
+            "c3_equals_minus_quarter_over_b5": all(
+                env["c3"] * b5 == Fraction(-1, 4) for _, b5, env in points
+            ),
+            "c1_is_zero": all(env["c1"].is_zero() for _, _, env in points),
+        }
     return report
-
-
-def _family1_facts() -> dict:
-    """c3 = c4 = -1/(4 b5) and c1 = 0, checked on the expression trees:
-    c1 structurally, the others by evaluation at 13 distinct parameter
-    values (far beyond their degree)."""
-    c3, c4, c1 = FAMILY_1["c3"], FAMILY_1["c4"], FAMILY_1["c1"]
-    gamma_equal = c3 == c4
-    reference = _div(_c(-1), _mul(_c(4), _B5))
-    pts = [QSqrt3(k) for k in range(1, 14)]
-    matches_ref = all(
-        eval_expr(c3, QSqrt3(1), p) == eval_expr(reference, QSqrt3(1), p) for p in pts
-    )
-    return {
-        "c3_equals_c4": gamma_equal,
-        "c3_equals_minus_quarter_over_b5": matches_ref,
-        "c1_is_zero": c1 == _c(0),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -303,8 +303,13 @@ class _Tokens:
             self.pos += 1
         if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
             raise ParseError("bad exponent", start, expected="integer or base")
+        first = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
+        # int() refuses more than 4300 digits; an exponent with more
+        # digits than MAX_WORD_LENGTH is out of range, which _power reports
+        if len(self.text[first:self.pos].lstrip("0")) > len(str(MAX_WORD_LENGTH)):
+            return (-1 if first > start else 1) * (MAX_WORD_LENGTH + 1)
         return int(self.text[start:self.pos])
 
 

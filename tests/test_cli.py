@@ -1,13 +1,18 @@
 """CLI behaviour: outputs, exit codes, JSON stability, schema."""
 
 import json
+import pathlib
+import re
 
 import pytest
 from search_reference import reference_search
 
+from commcalc import lie
 from commcalc.cli import main, parse_scalar, validate_report
 from commcalc.obstruction import QSqrt3
 from fractions import Fraction
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -201,10 +206,44 @@ def test_word_length_limit_exits_2(capsys, command, options):
         assert err.startswith(message) and err.count("\n") == 1
 
 
-def test_small_grid_rejected(capsys):
-    code, _, err = run(capsys, "verify", "families", "--grid", "5")
-    assert code == 2
-    assert "13" in err
+@pytest.mark.parametrize("command,options", [(("reduce",), ()), (("magnus",), ("--vars", "x"))])
+def test_exponent_with_thousands_of_digits_exits_2(capsys, command, options):
+    # more digits than int() converts (4300): a ParseError at the exponent
+    for text in ("x^" + "9" * 5000, "x^-" + "9" * 5000):
+        code, out, err = run(capsys, *command, text, *options)
+        assert code == 2 and out == ""
+        assert err == "error: exponent larger than 1000000 in absolute value at offset 2\n"
+    code, out, _ = run(capsys, *command, "x^0000002", *options)
+    assert code == 0
+    assert out.splitlines()[0] == ("x x" if command == ("reduce",) else "1 + 2x1")
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(lie, "verify_lemma_w", broken)
+    code, out, err = run(capsys, "verify", "lemma41")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_grid_option_removed(capsys):
+    code, out, err = run(capsys, "verify", "families", "--grid", "13")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --grid" in err
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (("verify", "families", "--json"), "verify_families.json"),
+    (("verify", "all", "--json", "--bound", "2"), "verify_all_bound2.json"),
+])
+def test_json_matches_golden(capsys, argv, golden):
+    # byte-identical to the checked-in report once the timing line is cut
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    out = re.sub(r'^  "timing_ms": [0-9.e+-]+,\n', "", out, count=1, flags=re.M)
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_verify_all(capsys):

@@ -18,7 +18,6 @@ from commcalc.obstruction import (
     SQRT3,
     evaluate,
     family_assignment,
-    family_text,
     integer_search,
     obstruction_system,
     transcription_check,
@@ -47,6 +46,7 @@ def test_qsqrt3_field_laws_random():
     for _ in range(250):
         x, y, z = rand(), rand(), rand()
         assert (x + y) * z == x * z + y * z
+        assert x * 3 == x * QSqrt3(3) and y.b * x == QSqrt3(y.b) * x  # rational scalars
         assert x - x == QSqrt3(0)
         if not y.is_zero():
             assert (x * y) / y == x
@@ -84,7 +84,6 @@ def test_row_golden_values():
     assert system[2].target == 1
     assert system[12].terms == ((1, ("a5", "c2")), (1, ("c1", "a6")))
     assert system[5].terms == ((-1, ("a3", "b6", "c2")), (-1, ("b1", "a5", "c4")))
-    assert system[2].text() == "b6*c4 - b5*c3 = 1"
 
 
 def test_rows_have_degree_2_or_3_and_unit_coefficients():
@@ -142,11 +141,6 @@ def test_missing_variable_rejected():
         evaluate(obstruction_system(), {"a3": 1})
 
 
-def test_serialization_round():
-    text = obstruction_system().serialize()
-    assert "b6*c4 - b5*c3 = 1" in text.splitlines()[1]
-
-
 # --- families ---------------------------------------------------------------
 
 
@@ -163,6 +157,7 @@ def test_family2_value_at_unit_parameters():
 
 
 def test_families_verify_on_full_grid():
+    assert set(FAMILIES) == {1, 2, 3}
     for fid in (1, 2, 3):
         report = verify_family(fid)
         assert report["all_residuals_zero"], report
@@ -180,15 +175,17 @@ def test_family1_closed_form_facts():
 
 
 def test_family_pole_error():
-    with pytest.raises(PoleError):
-        family_assignment(1, 1, 0)
-    with pytest.raises(PoleError):
-        family_assignment(2, 0, 1)
+    # the pole set is exactly b1 = 0 or b5 = 0, for every family
+    for fid in (1, 2, 3):
+        for b1, b5 in ((1, 0), (0, 1), (0, 0), (QSqrt3(0), Fraction(2, 3))):
+            with pytest.raises(PoleError):
+                family_assignment(fid, b1, b5)
+        assert family_assignment(fid, QSqrt3(1, 1), -1)["b1"] == QSqrt3(1, 1)
 
 
-def test_small_grid_rejected():
-    with pytest.raises(ValueError):
-        verify_family(1, [(Fraction(i), Fraction(1)) for i in range(1, 6)])
+def test_unknown_family_rejected():
+    with pytest.raises(ValueError, match="family id must be 1..3"):
+        verify_family(4)
 
 
 def test_family1_gamma_coordinates_rule_out_integer_points():
@@ -214,14 +211,6 @@ def test_families_2_and_3_are_irrational():
         assert env2["a3"].b != 0 and env3["a3"].b != 0
         assert env2["a3"] == QSqrt3(0, Fraction(-1, 1)) / QSqrt3(2 * sign * b1)
         assert env3["a3"] == QSqrt3(0, 1) / QSqrt3(2 * sign * b1)
-
-
-def test_family_text_serialization():
-    text = family_text(1)
-    assert "a3 -> (-1 / b1)" in text
-    assert "c1 -> 0" in text
-    assert len(text.splitlines()) == 12
-    assert set(FAMILIES) == {1, 2, 3}
 
 
 # --- integer search ----------------------------------------------------------

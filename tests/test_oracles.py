@@ -1,4 +1,5 @@
-"""Independent oracles for the Lie certificates and the Magnus engine.
+"""Independent oracles for the Lie certificates, the Magnus engine and
+the Q(sqrt 3) families.
 
 The brackets are expanded with sympy's noncommutative symbols and the
 ranks and kernels come from sympy's exact matrices, so these checks
@@ -6,17 +7,22 @@ trust neither the engine's tensor expansion nor its rational
 elimination.
 Only the table data (the generators and the printed rewriting rows)
 is taken from commcalc.  Words are expanded the same way, letter by
-letter, and compared with `magnus.expand`.
+letter, and compared with `magnus.expand`.  The families are
+transcribed here again as sympy expressions in b1, b5 and sqrt(3); the
+system's rows are simplified to zero on them symbolically, and the
+engine's points are compared with them without trusting `QSqrt3`.
 """
 
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from commcalc.lie import INDICES, LEMMA_GENERATORS, PRINTED_RHS
 from commcalc.magnus import VariableSet, expand
+from commcalc.obstruction import FAMILIES, VARIABLES, family_assignment, obstruction_system
 from commcalc.words import Alphabet, GroupWord
 
 sympy = pytest.importorskip("sympy")
@@ -130,3 +136,67 @@ def test_magnus_expansion_matches_sympy_on_random_words():
         want = sympy_magnus([(g.index + 1, s) for g, s in letters])
         got = expand(GroupWord(tuple(letters)), VariableSet.from_generators(gens))
         assert got.terms == want
+
+
+# --- Q(sqrt 3) families ----------------------------------------------------
+#
+# The source's closed forms, with s = sqrt(3), transcribed independently
+# of obstruction.py.
+
+B1, B5 = sympy.symbols("b1 b5")
+S = sympy.sqrt(3)
+
+SYMPY_FAMILIES = {
+    1: {
+        "a3": -1 / B1, "a4": -1 / B1, "a5": -2 * B5 / B1, "a6": -2 * B5 / B1,
+        "b1": B1, "b2": 2 * B1, "b5": B5, "b6": -3 * B5,
+        "c1": sympy.Integer(0), "c2": -B1 / (2 * B5),
+        "c3": -1 / (4 * B5), "c4": -1 / (4 * B5),
+    },
+    2: {
+        "a3": -S / (2 * B1), "a4": -S / (2 * B1), "a5": sympy.Integer(0),
+        "a6": 3 * (-5 * B5 - 3 * S * B5) / (2 * (3 * B1 + 2 * S * B1)),
+        "b1": B1, "b2": sympy.Rational(1, 3) * (3 * B1 + 2 * S * B1),
+        "b5": B5, "b6": -B5 - S * B5,
+        "c1": -2 * (3 * B1 + 2 * S * B1) / (3 * (5 + 3 * S) * B5),
+        "c2": -2 * (3 * B1 + 2 * S * B1) / (3 * (5 + 3 * S) * B5),
+        "c3": (-1 - S) / ((5 + 3 * S) * B5), "c4": (-1 - S) / ((5 + 3 * S) * B5),
+    },
+    3: {
+        "a3": S / (2 * B1), "a4": S / (2 * B1), "a5": sympy.Integer(0),
+        "a6": 3 * (5 * B5 - 3 * S * B5) / (2 * (-3 * B1 + 2 * S * B1)),
+        "b1": B1, "b2": sympy.Rational(1, 3) * (3 * B1 - 2 * S * B1),
+        "b5": B5, "b6": -B5 + S * B5,
+        "c1": -2 * (-3 * B1 + 2 * S * B1) / (3 * (-5 + 3 * S) * B5),
+        "c2": -2 * (-3 + 2 * S) * B1 / (3 * (-5 + 3 * S) * B5),
+        "c3": (1 - S) / ((-5 + 3 * S) * B5), "c4": (1 - S) / ((-5 + 3 * S) * B5),
+    },
+}
+
+
+def _as_fractions(value) -> tuple:
+    """(a, b) with value = a + b*sqrt(3), both rational."""
+    value = sympy.expand(sympy.radsimp(value))
+    b = value.coeff(S)
+    a = sympy.expand(value - b * S)
+    assert a.is_Rational and b.is_Rational, value
+    return Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3])
+def test_family_residuals_simplify_to_zero(family_id):
+    point = SYMPY_FAMILIES[family_id]
+    assert set(point) == set(VARIABLES) and set(FAMILIES) == {1, 2, 3}
+    for eq in obstruction_system():
+        value = sum(c * sympy.Mul(*(point[v] for v in mono)) for c, mono in eq.terms)
+        assert sympy.simplify(value - eq.target) == 0, (family_id, eq.label)
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3])
+def test_family_points_match_sympy(family_id):
+    point = SYMPY_FAMILIES[family_id]
+    for b1, b5 in [(1, 1), (2, 7), (-3, 5), (Fraction(-2, 3), Fraction(-5, 4))]:
+        got = family_assignment(family_id, b1, b5)
+        at = {B1: sympy.Rational(str(b1)), B5: sympy.Rational(str(b5))}
+        for v in VARIABLES:
+            assert (got[v].a, got[v].b) == _as_fractions(point[v].subs(at)), (v, b1, b5)
