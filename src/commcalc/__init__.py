@@ -2,8 +2,9 @@
 
 Free-group words and commutator expressions, Magnus expansions in the
 squarefree truncated power-series ring, multilinear free-Lie reduction
-(basis coordinates read off the tensor expansion, with the basis and
-the rank-14 dependency certified by exact rational elimination), and
+(basis coordinates and the quotient dimension read off the tensor
+expansion, the basis rank and the rank-14 dependency certified by
+fraction-free integer elimination), and
 the band-sum obstruction system with its Q(sqrt 3) solution families
 and bounded integer search.
 """

@@ -258,8 +258,10 @@ def cmd_verify(args) -> int:
 def cmd_system_search(args) -> int:
     t0 = time.perf_counter()
     labels = None
-    if args.subsystem:
+    if args.subsystem is not None:
         labels = [int(x) for x in re.split(r"[,\s]+", args.subsystem.strip()) if x]
+        if not labels:
+            raise ValueError(f"--subsystem {args.subsystem!r} names no row labels")
     canon, sols = obstruction.integer_search(args.bound, labels=labels)
     full = labels is None
     payload = {
@@ -294,6 +296,8 @@ def parse_scalar(text: str) -> obstruction.QSqrt3:
     m = _VALUE_RE.match(text)
     if not m or (m.group("a") is None and m.group("sign") is None and "sqrt3" not in text):
         raise ValueError(f"cannot parse scalar {text!r}")
+    if re.search(r"/0+(?!\d)", text):
+        raise ValueError(f"zero denominator in scalar {text!r}")
     a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
     b = Fraction(0)
     if "sqrt3" in text:
@@ -320,7 +324,7 @@ def parse_assignment_file(path: str) -> dict:
             name = name.strip().replace("[", "").replace("]", "")
             if name not in obstruction.VARIABLES:
                 raise ValueError(f"{path}:{lineno}: unknown variable {name!r}")
-            assignment[name] = parse_scalar(value)
+            assignment[name] = parse_scalar(value.strip())
     missing = [v for v in obstruction.VARIABLES if v not in assignment]
     if missing:
         raise ValueError(f"{path}: assignment missing {missing}")

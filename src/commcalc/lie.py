@@ -1,5 +1,5 @@
 """Formal multilinear commutators, their tensor expansions, exact
-rational linear algebra, and the dimension/intersection computations
+integer linear algebra, and the dimension/intersection computations
 for the 120-dimensional commutator space.
 
 A bracket tree expands recursively by [a,b] -> ab - ba into the
@@ -15,8 +15,7 @@ degree-5 multilinear component (Reutenauer, Free Lie Algebras, 1993),
 and each one expands to exactly one monomial ending in 6, namely
 i1 i2 i3 i4 6, with coefficient +1.  So the coordinates of any Lie
 element are the coefficients of its expansion's monomials that end in
-6; the rank computations below certify the basis that makes this
-read-off valid.
+6; the quotient dimension is read off the same way (quotient_dim).
 
 Trees are nested tuples over distinct integer indices: a leaf is an
 int, a bracket is a pair (left, right).  Example, right-normed:
@@ -25,13 +24,13 @@ int, a bracket is a pair (left, right).  Example, right-normed:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from typing import Iterable, Sequence
 
 CommTree = int | tuple
-TensorVec = dict  # permutation tuple -> integer / Fraction coefficient
+TensorVec = dict  # permutation tuple -> integer coefficient
 
 
 class TreeError(ValueError):
@@ -111,18 +110,16 @@ def comm_expr_to_tree(expr) -> CommTree:
 
 
 # ---------------------------------------------------------------------------
-# exact rational matrices
+# exact integer matrices
 
 
 class RationalMatrix:
-    """Dense exact-rational matrix.
-
-    Elimination uses first-nonzero pivoting so every derived quantity
-    (rank, kernel basis) is deterministic.
-    """
+    """Dense integer matrix.  Elimination is fraction-free (Bareiss,
+    1968) with first-nonzero pivoting, so every derived quantity (rank,
+    kernel basis) is deterministic."""
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows = [[Fraction(x) for x in r] for r in rows]
+        self.rows = [[operator.index(x) for x in r] for r in rows]
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -133,49 +130,39 @@ class RationalMatrix:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
     def rank(self) -> int:
-        return _eliminate([r[:] for r in self.rows])
+        return _eliminate([r[:] for r in self.rows], self.shape[1])
 
     def left_kernel(self) -> list[list[Fraction]]:
         """Basis of {v : v @ M = 0}: the dependencies among the rows.
         Each basis vector is scaled so its first nonzero entry is 1."""
         n, m = self.shape
-        aug = [self.rows[i][:] + [Fraction(int(j == i)) for j in range(n)]
-               for i in range(n)]
-        rank = _eliminate(aug, cols=m)
+        aug = [self.rows[i] + [int(j == i) for j in range(n)] for i in range(n)]
+        rank = _eliminate(aug, m)
         kernel = []
         for row in aug[rank:]:
-            vec = row[m:]
-            lead = next((x for x in vec if x != 0), None)
-            if lead is None:
-                continue
-            kernel.append([x / lead for x in vec])
+            lead = next(x for x in row[m:] if x)  # never zero: the identity's rows stay independent
+            kernel.append([Fraction(x, lead) for x in row[m:]])
         return kernel
 
 
-def _eliminate(rows: list, cols: int | None = None) -> int:
-    """In-place forward elimination; returns the rank.  `cols` limits
-    pivoting to the first columns (the rest ride along, e.g. an
-    augmented identity)."""
+def _eliminate(rows: list, cols: int) -> int:
+    """In-place Bareiss forward elimination; returns the rank.  Only the
+    first `cols` columns are pivoted on (the rest ride along).  Every
+    row below a pivot is updated, so `//` by the previous pivot is exact."""
     n = len(rows)
-    if n == 0:
-        return 0
-    m = cols if cols is not None else len(rows[0])
-    piv = 0
-    for c in range(m):
-        r = next((i for i in range(piv, n) if rows[i][c] != 0), None)
+    piv, prev = 0, 1
+    for c in range(cols):
+        r = next((i for i in range(piv, n) if rows[i][c]), None)
         if r is None:
             continue
         rows[piv], rows[r] = rows[r], rows[piv]
-        inv = 1 / rows[piv][c]
-        rows[piv] = [x * inv for x in rows[piv]]
+        pr = rows[piv]
+        p = pr[c]
         for i in range(piv + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c]
-                pr = rows[piv]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], pr)]
+        prev = p
         piv += 1
-        if piv == n:
-            break
     return piv
 
 
@@ -197,8 +184,6 @@ def build_expansion_matrix(indices: Sequence[int]) -> RationalMatrix:
     of their leaf sequences.  Columns: the d! permutation monomials in
     lex order.  Entries are the tensor-expansion coefficients."""
     idx = sorted(indices)
-    if len(idx) < 2:
-        raise TreeError("need at least two indices")
     return _tensor_matrix((expand_tree(right_normed(p)) for p in permutations(idx)), idx)
 
 
@@ -220,16 +205,23 @@ def to_basis(t: CommTree) -> dict:
     Each basis commutator [i1,[i2,[i3,[i4,6]]]] expands to exactly one
     monomial ending in 6, namely i1 i2 i3 i4 6, with coefficient +1, so
     the coordinates are the coefficients of expand_tree(t) at its
-    monomials ending in 6.  The combination is expanded again and
-    compared with expand_tree(t); a mismatch (which the rank
-    computations rule out) raises TreeError."""
+    monomials ending in 6; TreeError if they do not expand back to it."""
     leaves = check_multilinear(t)
     if sorted(leaves) != list(INDICES):
         raise TreeError(f"to_basis needs leaves {INDICES}, got {sorted(leaves)}")
+    coeffs = _read_off(t)
+    if coeffs is None:
+        raise TreeError("vector outside the span of the basis expansions")
+    return coeffs
+
+
+def _read_off(t: CommTree) -> dict | None:
+    """The coefficients of expand_tree(t) at its monomials ending in 6, or
+    None unless that combination of basis commutators expands back to it."""
     vec = expand_tree(t)
     coeffs = {k: vec[k] for k in sorted(vec) if k[-1] == 6}
     if combination_vector((c, p) for p, c in coeffs.items()) != vec:
-        raise TreeError("vector outside the span of the basis expansions")
+        return None
     return coeffs
 
 
@@ -395,17 +387,19 @@ def verify_lemma_w() -> dict:
         "rank": rank,
         "kernel_dim": len(kernel),
         "kernel": "all-ones" if all_ones else [[str(x) for x in v] for v in kernel],
-        "quotient_dim": dim_spanned(),
+        "quotient_dim": quotient_dim(),
         "generator_label_matches_table": label_matches,
         "literal_label_rank": literal_rank,
         "transcription_flags": list(TRANSCRIPTION_FLAGS),
     }
 
 
-@lru_cache(maxsize=1)
-def dim_spanned() -> int:
-    """Rank of the full 120-row expansion matrix (the quotient dimension)."""
-    return build_expansion_matrix(INDICES).rank()
+def quotient_dim() -> int | None:
+    """Rank of the 120 right-normed expansions (the quotient dimension).
+    They include the 24 basis rows, so if each is the combination read
+    off its expansion the rank is basis_rank(); else None."""
+    spanned = all(_read_off(right_normed(p)) is not None for p in permutations(INDICES))
+    return basis_rank() if spanned else None
 
 
 def basis_rank() -> int:

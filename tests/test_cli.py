@@ -125,6 +125,13 @@ def test_system_search_unknown_row_label_exits_2(capsys):
     assert code == 0 and report["payload"]["count"] == 1
 
 
+@pytest.mark.parametrize("subsystem", ["", ",", " , "])
+def test_system_search_empty_subsystem_exits_2(capsys, subsystem):
+    code, out, err = run(capsys, "system", "search", "--bound", "2", "--subsystem", subsystem)
+    assert code == 2 and out == ""
+    assert err == f"error: --subsystem {subsystem!r} names no row labels\n"
+
+
 def test_system_search_too_many_solutions_exits_2(capsys):
     # rows 8 and 13 share no variable: 1784 solutions each at bound 3
     code, out, err = run(capsys, "system", "search", "--bound", "3", "--subsystem", "8,13")
@@ -171,6 +178,15 @@ def test_system_eval_bracket_naming(tmp_path, capsys):
     path.write_text(SAMPLE_FILE.replace("a3 =", "a[3] ="))
     code, report, _ = run_json(capsys, "system", "eval", "--assign", str(path), "--json")
     assert code == 0 and report["payload"]["satisfied"]
+
+
+@pytest.mark.parametrize("value", ["1/0", "1 + 1/0 sqrt3", "-1/00", "2 - 3/0 * sqrt3"])
+def test_system_eval_zero_denominator_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "assign.txt"
+    path.write_text(SAMPLE_FILE.replace("a3 = -1", f"a3 = {value}"))
+    code, out, err = run(capsys, "system", "eval", "--assign", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: zero denominator in scalar {value!r}\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -228,6 +244,22 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_quotient_dim_failure_fails_lemma41(capsys, monkeypatch):
+    # push one right-normed expansion out of the basis span: the
+    # read-off proof fails, and that is a failed certificate (exit 1),
+    # not an input error (2) or a defect (3)
+    bad = lie.right_normed((6, 5, 4, 3, 2))
+    expand = lie.expand_tree
+    monkeypatch.setattr(
+        lie, "expand_tree", lambda t: {**expand(t), (2, 3, 4, 6, 5): 7} if t == bad else expand(t)
+    )
+    assert lie.quotient_dim() is None
+    code, out, err = run(capsys, "verify", "lemma41")
+    assert code == 1 and err == ""
+    assert "quotient dimension: None (expected 24)" in out.splitlines()
+    assert out.splitlines()[-1] == "verdict: FAIL"
+
+
 def test_grid_option_removed(capsys):
     code, out, err = run(capsys, "verify", "families", "--grid", "13")
     assert code == 2 and out == ""
@@ -263,6 +295,7 @@ def test_parse_scalar():
     assert parse_scalar("1/3 + 2/3 sqrt3") == QSqrt3(Fraction(1, 3), Fraction(2, 3))
     assert parse_scalar("-sqrt3") == QSqrt3(0, -1)
     assert parse_scalar("2 - sqrt3") == QSqrt3(2, -1)
+    assert parse_scalar("1/10 + 10/100 sqrt3") == QSqrt3(Fraction(1, 10), Fraction(1, 10))
     with pytest.raises(ValueError):
         parse_scalar("elephant")
     with pytest.raises(ValueError):

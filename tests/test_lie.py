@@ -104,6 +104,8 @@ def test_full_degree5_matrix():
     rank, kernel = m.rank(), m.left_kernel()
     assert rank == 24
     assert len(kernel) == 96
+    # the read-off proof gives the rank that elimination gives
+    assert lie.quotient_dim() == rank
 
 
 def test_zero_matrix_rank_kernel():
@@ -111,6 +113,13 @@ def test_zero_matrix_rank_kernel():
     rank, kernel = m.rank(), m.left_kernel()
     assert rank == 0
     assert len(kernel) == 3
+
+
+def test_non_integer_entries_rejected():
+    # fraction-free elimination divides with `//`, which would floor them
+    for entry in (Fraction(1, 2), Fraction(2), 1.0, "1"):
+        with pytest.raises(TypeError):
+            RationalMatrix([[1, entry]])
 
 
 def test_rank_kernel_deterministic():

@@ -3,8 +3,8 @@ the Q(sqrt 3) families.
 
 The brackets are expanded with sympy's noncommutative symbols and the
 ranks and kernels come from sympy's exact matrices, so these checks
-trust neither the engine's tensor expansion nor its rational
-elimination.
+trust neither the engine's tensor expansion nor its integer
+elimination, which is also compared with sympy on random matrices.
 Only the table data (the generators and the printed rewriting rows)
 is taken from commcalc.  Words are expanded the same way, letter by
 letter, and compared with `magnus.expand`.  The families are
@@ -20,7 +20,7 @@ from itertools import permutations
 
 import pytest
 
-from commcalc.lie import INDICES, LEMMA_GENERATORS, PRINTED_RHS
+from commcalc.lie import INDICES, LEMMA_GENERATORS, PRINTED_RHS, RationalMatrix
 from commcalc.magnus import VariableSet, expand
 from commcalc.obstruction import FAMILIES, VARIABLES, family_assignment, obstruction_system
 from commcalc.words import Alphabet, GroupWord
@@ -85,6 +85,43 @@ def test_expansion_matrix_rank_is_factorial(d):
 
 def test_direct_label_expansions_have_rank_15():
     assert matrix([bracket(t) for t in LEMMA_GENERATORS], INDICES).rank() == 15
+
+
+def _integer_matrices(rng):
+    """Small integer matrices, wide and tall: sparse enough that pivots
+    need row swaps, some with a zero row, a zero column or a row that
+    is a multiple of another."""
+    cases = [[[0]], [[0, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 1], [5, 1, 1]]]
+    for _ in range(200):
+        n, m = rng.randrange(1, 8), rng.randrange(1, 8)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(m)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)] = [0] * m
+        if rng.random() < 0.3:
+            col = rng.randrange(m)
+            for row in rows:
+                row[col] = 0
+        if n > 1 and rng.random() < 0.3:
+            rows[rng.randrange(n)] = [-2 * x for x in rows[rng.randrange(n)]]
+        cases.append(rows)
+    return cases
+
+
+def test_integer_elimination_matches_sympy():
+    for rows in _integer_matrices(random.Random(1968)):
+        m = sympy.Matrix(rows)
+        ours = RationalMatrix(rows)
+        assert ours.rank() == m.rank(), rows
+        kernel = ours.left_kernel()
+        nullspace = m.T.nullspace()
+        assert len(kernel) == len(nullspace), rows
+        if not kernel:
+            continue
+        k = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v] for v in kernel])
+        assert all(next(x for x in v if x) == 1 for v in kernel)
+        assert (k * m).is_zero_matrix
+        # same span: the reduced row-echelon forms agree
+        assert k.rref()[0] == sympy.Matrix.hstack(*nullspace).T.rref()[0], rows
 
 
 # --- Magnus expansion ------------------------------------------------------
