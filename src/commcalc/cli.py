@@ -285,34 +285,37 @@ def cmd_system_search(args) -> int:
     return _emit(report, [line], args.json)
 
 
+#: A rational part must be followed by a sign or the end, so that in
+#: "12*sqrt3" or "2/3 sqrt3" the whole number is the sqrt3 coefficient.
 _VALUE_RE = re.compile(
-    r"^\s*(?P<a>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?:(?P<sign>[+-])?\s*(?:(?P<b>\d+(?:/\d+)?)\s*\*?\s*)?sqrt3)?\s*$"
+    r"\s*(?P<a>[+-]?\d+(?:/\d+)?(?=\s*(?:[+-]|$)))?\s*"
+    r"(?P<root>(?P<sign>[+-])?\s*(?:(?P<b>\d+(?:/\d+)?)\s*\*?\s*)?sqrt3)?\s*"
 )
 
 
 def parse_scalar(text: str) -> obstruction.QSqrt3:
-    """Parse 'p/q', 'p/q + r/s sqrt3', '-sqrt3', etc."""
-    m = _VALUE_RE.match(text)
-    if not m or (m.group("a") is None and m.group("sign") is None and "sqrt3" not in text):
+    """Parse 'p/q', 'p/q + r/s sqrt3', '-sqrt3', '12*sqrt3', etc.: every
+    form str(QSqrt3) prints."""
+    m = _VALUE_RE.fullmatch(text)
+    if not m or (m.group("a") is None and m.group("root") is None):
         raise ValueError(f"cannot parse scalar {text!r}")
     if re.search(r"/0+(?!\d)", text):
         raise ValueError(f"zero denominator in scalar {text!r}")
     a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
     b = Fraction(0)
-    if "sqrt3" in text:
+    if m.group("root"):
         b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
         if m.group("sign") == "-":
             b = -b
-        elif m.group("sign") is None and m.group("a") is not None:
-            raise ValueError(f"missing sign before sqrt3 in {text!r}")
     return obstruction.QSqrt3(a, b)
 
 
 def parse_assignment_file(path: str) -> dict:
     """Lines 'a3 = -1' or 'c3 = -1/4'; accepts the bracketed naming
-    a[3] as well.  '#' starts a comment."""
+    a[3] as well.  '#' starts a comment.  A variable given twice is an
+    error."""
     assignment = {}
+    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -324,7 +327,16 @@ def parse_assignment_file(path: str) -> dict:
             name = name.strip().replace("[", "").replace("]", "")
             if name not in obstruction.VARIABLES:
                 raise ValueError(f"{path}:{lineno}: unknown variable {name!r}")
-            assignment[name] = parse_scalar(value.strip())
+            if name in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: variable {name!r} given twice "
+                    f"(first on line {first_line[name]})"
+                )
+            first_line[name] = lineno
+            try:
+                assignment[name] = parse_scalar(value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     missing = [v for v in obstruction.VARIABLES if v not in assignment]
     if missing:
         raise ValueError(f"{path}: assignment missing {missing}")

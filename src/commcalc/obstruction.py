@@ -4,7 +4,9 @@ search certifying the absence of small integer solutions.
 
 Each family is a plain function (b1, b5) -> point in the source's
 printed shape, certified by exact evaluation on the fixed 13 x 13 grid
-(a degree bound makes that a proof; see verify_family).  The search is
+(a degree bound makes that a proof; see verify_family).  Values in
+Q(sqrt 3) are QSqrt3s, three integers (a + b*sqrt(3))/d in lowest
+terms, so the grid pass is integer arithmetic.  The search is
 factored: rows sharing no variable are searched apart and joined by
 product, each row's last variable is solved rather than enumerated,
 and a block of SEARCH_BLOCKS whose rows read only its own variables is
@@ -56,82 +58,131 @@ class PoleError(ZeroDivisionError):
     """A family was evaluated on its pole set (b1 = 0 or b5 = 0)."""
 
 
+def _parts(x):
+    """(a, b, d) with x = (a + b*sqrt(3))/d for an int, Fraction or
+    QSqrt3 x, else None."""
+    if isinstance(x, QSqrt3):  # first: isinstance(x, Fraction) is an ABC check
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _reduced(a: int, b: int, d: int) -> "QSqrt3":
+    """The QSqrt3 (a + b*sqrt(3))/d in lowest terms; d must be nonzero."""
+    g = math.gcd(a, b, d)
+    if d < 0:
+        g = -g
+    x = object.__new__(QSqrt3)
+    x._a = a // g
+    x._b = b // g
+    x._d = d // g
+    return x
+
+
 class QSqrt3:
-    """Exact element a + b*sqrt(3) of the real quadratic field Q(sqrt 3)."""
+    """Exact element a + b*sqrt(3) of the real quadratic field Q(sqrt 3).
 
-    __slots__ = ("a", "b")
+    Held as three ints (a + b*sqrt(3))/d in lowest terms: d > 0 and
+    gcd(a, b, d) = 1, so equal elements have equal triples.  The
+    rational parts a and b are read-only properties returning Fractions.
+    QSqrt3(a, b) takes each part as an int, a Fraction or a QSqrt3 and
+    raises TypeError for anything else, floats included.
+    """
 
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+    __slots__ = ("_a", "_b", "_d")
 
-    @classmethod
-    def _coerce(cls, x) -> "QSqrt3":
-        if isinstance(x, QSqrt3):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        return NotImplemented
+    def __new__(cls, a=0, b=0):
+        pa, pb = _parts(a), _parts(b)
+        if pa is None or pb is None:
+            bad = type(a if pa is None else b).__name__
+            raise TypeError(f"QSqrt3 takes int, Fraction or QSqrt3 parts, not {bad}")
+        a1, b1, d1 = pa
+        a2, b2, d2 = pb  # b*sqrt(3) = (3*b2 + a2*sqrt(3))/d2
+        return _reduced(a1 * d2 + 3 * b2 * d1, b1 * d2 + a2 * d1, d1 * d2)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, o):
-        o = self._coerce(o)
-        return NotImplemented if o is NotImplemented else QSqrt3(self.a + o.a, self.b + o.b)
+        if isinstance(o, int):
+            return _reduced(self._a + o * self._d, self._b, self._d)
+        p = _parts(o)
+        if p is None:
+            return NotImplemented
+        a, b, d = p
+        return _reduced(self._a * d + a * self._d, self._b * d + b * self._d, self._d * d)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = self._coerce(o)
-        return NotImplemented if o is NotImplemented else QSqrt3(self.a - o.a, self.b - o.b)
+        return NotImplemented if _parts(o) is None else self + -o
 
     def __rsub__(self, o):
-        return self._coerce(o) - self
+        return NotImplemented if _parts(o) is None else -self + o
 
     def __mul__(self, o):
-        if isinstance(o, (int, Fraction)):  # a rational scalar: two products, not four
-            return QSqrt3(self.a * o, self.b * o)
-        o = self._coerce(o)
-        if o is NotImplemented:
+        if isinstance(o, int):
+            return _reduced(self._a * o, self._b * o, self._d)
+        p = _parts(o)
+        if p is None:
             return NotImplemented
-        return QSqrt3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
+        a, b, d = p
+        return _reduced(self._a * a + 3 * self._b * b, self._a * b + self._b * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
-        o = self._coerce(o)
-        if o is NotImplemented:
+        p = _parts(o)
+        if p is None:
             return NotImplemented
-        norm = o.a * o.a - 3 * o.b * o.b
+        a, b, d = p
+        # multiply by the conjugate (a - b*sqrt(3)) over the integer norm
+        norm = a * a - 3 * b * b
         if norm == 0:  # a^2 = 3 b^2 has no rational solution but a = b = 0
             raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-        return self * QSqrt3(o.a / norm, -o.b / norm)
+        return _reduced((self._a * a - 3 * self._b * b) * d,
+                        (self._b * a - self._a * b) * d, self._d * norm)
 
     def __rtruediv__(self, o):
-        return self._coerce(o) / self
+        p = _parts(o)
+        return NotImplemented if p is None else _reduced(*p) / self
 
     def __neg__(self):
-        return QSqrt3(-self.a, -self.b)
+        x = object.__new__(QSqrt3)
+        x._a, x._b, x._d = -self._a, -self._b, self._d
+        return x
 
     def __eq__(self, o):
-        o = self._coerce(o)
-        return o is not NotImplemented and self.a == o.a and self.b == o.b
+        p = _parts(o)
+        return NotImplemented if p is None else (self._a, self._b, self._d) == p
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational element hashes as its Fraction, which it equals
+        return hash(self.a) if self._b == 0 else hash((self._a, self._b, self._d))
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._a == self._b == 0
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        mag = abs(self.b)
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        mag = abs(b)
         tail = "sqrt3" if mag == 1 else f"{mag}*sqrt3"
-        if self.a == 0:
-            return tail if self.b > 0 else f"-{tail}"
-        return f"{self.a} {'-' if self.b < 0 else '+'} {tail}"
+        if a == 0:
+            return tail if b > 0 else f"-{tail}"
+        return f"{a} {'-' if b < 0 else '+'} {tail}"
 
     def __repr__(self):
         return f"QSqrt3({self.a}, {self.b})"

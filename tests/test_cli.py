@@ -186,7 +186,23 @@ def test_system_eval_zero_denominator_exits_2(tmp_path, capsys, value):
     path.write_text(SAMPLE_FILE.replace("a3 = -1", f"a3 = {value}"))
     code, out, err = run(capsys, "system", "eval", "--assign", str(path))
     assert code == 2 and out == ""
-    assert err == f"error: zero denominator in scalar {value!r}\n"
+    assert err == f"error: {path}:2: zero denominator in scalar {value!r}\n"
+
+
+def test_system_eval_unparsable_scalar_names_its_line(tmp_path, capsys):
+    path = tmp_path / "assign.txt"
+    path.write_text(SAMPLE_FILE.replace("c2 = -1/2", "c2 = 1 2 sqrt3"))
+    code, out, err = run(capsys, "system", "eval", "--assign", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:11: cannot parse scalar '1 2 sqrt3'\n"
+
+
+def test_system_eval_variable_given_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "assign.txt"
+    path.write_text(SAMPLE_FILE + "a[3] = 5\n")
+    code, out, err = run(capsys, "system", "eval", "--assign", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:14: variable 'a3' given twice (first on line 2)\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -296,10 +312,15 @@ def test_parse_scalar():
     assert parse_scalar("-sqrt3") == QSqrt3(0, -1)
     assert parse_scalar("2 - sqrt3") == QSqrt3(2, -1)
     assert parse_scalar("1/10 + 10/100 sqrt3") == QSqrt3(Fraction(1, 10), Fraction(1, 10))
-    with pytest.raises(ValueError):
-        parse_scalar("elephant")
-    with pytest.raises(ValueError):
-        parse_scalar("1 2 sqrt3")
+    # a whole number before sqrt3 is its coefficient, not a rational part
+    assert parse_scalar("12*sqrt3") == QSqrt3(0, 12)
+    assert parse_scalar("9/10*sqrt3") == QSqrt3(0, Fraction(9, 10))
+    assert parse_scalar("-23*sqrt3") == QSqrt3(0, -23)
+    assert parse_scalar("2/3 sqrt3") == QSqrt3(0, Fraction(2, 3))
+    assert parse_scalar("-4 - 12*sqrt3") == QSqrt3(-4, -12)
+    for text in ("elephant", "1 2 sqrt3", "", "1 + 2", "sqrt3 + 1", "1 sqrt3 + 2", "2.5"):
+        with pytest.raises(ValueError):
+            parse_scalar(text)
 
 
 def test_shipped_schema_matches_validator():

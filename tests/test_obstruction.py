@@ -66,6 +66,29 @@ def test_qsqrt3_str():
     assert str(QSqrt3(Fraction(-1, 4))) == "-1/4"
     assert str(QSqrt3(1, Fraction(2, 3))) == "1 + 2/3*sqrt3"
     assert str(QSqrt3(0, -1)) == "-sqrt3"
+    assert repr(QSqrt3(Fraction(-1, 4), 2)) == "QSqrt3(-1/4, 2)"
+    assert str(QSqrt3(-4, -12)) == "-4 - 12*sqrt3"
+
+
+def test_qsqrt3_equal_values_hash_alike():
+    assert hash(QSqrt3(2)) == hash(2) and len({QSqrt3(2), 2}) == 1
+    assert hash(QSqrt3(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+    x, y = QSqrt3(1, 1) / 3, QSqrt3(Fraction(1, 3), Fraction(1, 3))
+    assert x == y and hash(x) == hash(y)
+    z = (SQRT3 + 1) * (SQRT3 - 1) / 2  # = 1, built the long way
+    assert z == 1 and hash(z) == hash(1) and len({z, QSqrt3(1), 1, Fraction(1)}) == 1
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, "1/3", None])
+def test_qsqrt3_rejects_non_exact_parts(bad):
+    with pytest.raises(TypeError):
+        QSqrt3(bad)
+    with pytest.raises(TypeError):
+        QSqrt3(1, bad)
+    with pytest.raises(TypeError):
+        QSqrt3(1, 1) + bad
+    with pytest.raises(TypeError):
+        bad * SQRT3
 
 
 # --- the system ------------------------------------------------------------

@@ -11,6 +11,8 @@ letter, and compared with `magnus.expand`.  The families are
 transcribed here again as sympy expressions in b1, b5 and sqrt(3); the
 system's rows are simplified to zero on them symbolically, and the
 engine's points are compared with them without trusting `QSqrt3`.
+`QSqrt3` arithmetic itself is compared with sympy's radsimp on
+generated operands (hypothesis when installed, else a seeded loop).
 """
 
 import math
@@ -20,13 +22,26 @@ from itertools import permutations
 
 import pytest
 
+from commcalc.cli import parse_scalar
 from commcalc.lie import INDICES, LEMMA_GENERATORS, PRINTED_RHS, RationalMatrix
 from commcalc.magnus import VariableSet, expand
-from commcalc.obstruction import FAMILIES, VARIABLES, family_assignment, obstruction_system
+from commcalc.obstruction import (
+    FAMILIES,
+    VARIABLES,
+    QSqrt3,
+    family_assignment,
+    obstruction_system,
+)
 from commcalc.words import Alphabet, GroupWord
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # a seeded loop stands in for the property test
+    hypothesis = None
 
 X = {i: sympy.Symbol(f"x{i}", commutative=False) for i in range(2, 7)}
 
@@ -237,3 +252,71 @@ def test_family_points_match_sympy(family_id):
         at = {B1: sympy.Rational(str(b1)), B5: sympy.Rational(str(b5))}
         for v in VARIABLES:
             assert (got[v].a, got[v].b) == _as_fractions(point[v].subs(at)), (v, b1, b5)
+
+
+# --- QSqrt3 arithmetic against sympy ------------------------------------------
+
+
+def _rational(f: Fraction):
+    return sympy.Rational(f.numerator, f.denominator)
+
+
+def check_qsqrt3_against_sympy(p, q, n, f):
+    """x = p[0] + p[1] sqrt3 and y = q[0] + q[1] sqrt3 (Fraction parts),
+    an int n and a Fraction f: every result of + - * / and negation,
+    with int and Fraction scalars on either side, equals sympy's radsimp
+    of the same expression, is held in lowest terms (d > 0,
+    gcd(a, b, d) = 1), and survives parse_scalar(str(...))."""
+    x, y = QSqrt3(*p), QSqrt3(*q)
+    sx = _rational(p[0]) + _rational(p[1]) * S
+    sy = _rational(q[0]) + _rational(q[1]) * S
+    sn, sf = sympy.Integer(n), _rational(f)
+    cases = [
+        (x, sx), (x + y, sx + sy), (x - y, sx - sy), (x * y, sx * sy), (-x, -sx),
+        (x + n, sx + sn), (n - x, sn - sx), (n * x, sn * sx), (x * f, sx * sf),
+        (f + y, sf + sy), (y - f, sy - sf),
+    ]
+    if q[0] or q[1]:
+        cases += [(x / y, sx / sy), (n / y, sn / sy), (f / y, sf / sy)]
+    if n:
+        cases.append((x / n, sx / sn))
+    if f:
+        cases.append((y / f, sy / sf))
+    for got, want in cases:
+        assert (got.a, got.b) == _as_fractions(want), (p, q, n, f, want)
+        assert got._d > 0 and math.gcd(got._a, got._b, got._d) == 1, repr(got)
+        assert parse_scalar(str(got)) == got, str(got)
+
+
+if hypothesis is None:
+
+    def test_qsqrt3_matches_sympy():
+        rng = random.Random(1729)
+
+        def frac():
+            return Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+
+        for _ in range(30):
+            check_qsqrt3_against_sympy(
+                (frac(), frac()), (frac(), frac()), rng.randint(-99, 99), frac()
+            )
+
+else:
+    _fractions = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+
+    # no explain phase: it traces every line sympy runs, which made one
+    # failing run take 50-115 s instead of about 3 s
+    @hypothesis.settings(
+        max_examples=30,
+        deadline=None,
+        database=None,
+        phases=[p for p in hypothesis.Phase if p is not hypothesis.Phase.explain],
+    )
+    @hypothesis.given(
+        st.tuples(_fractions, _fractions),
+        st.tuples(_fractions, _fractions),
+        st.integers(-99, 99),
+        _fractions,
+    )
+    def test_qsqrt3_matches_sympy(p, q, n, f):
+        check_qsqrt3_against_sympy(p, q, n, f)
