@@ -88,10 +88,7 @@ def cmd_magnus(args) -> int:
 
 def cmd_reduce(args) -> int:
     t0 = time.perf_counter()
-    seen = []
-    for name in re.findall(r"[A-Za-z][A-Za-z0-9]*", args.expr):
-        if name not in seen:
-            seen.append(name)
+    seen = words.generator_names(args.expr)
     if not seen:
         raise words.ParseError("no generators in expression", 0, "generator name")
     alphabet = words.Alphabet(seen)

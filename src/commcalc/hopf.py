@@ -44,17 +44,12 @@ class HopfScenario:
 
     def __init__(self, twisted: bool = False):
         self.alphabet = Alphabet(["m2", "m3", "m4", "a", "b"])
-        self.meridians = Alphabet(["m2", "m3", "m4"])
         self.twisted = twisted
         self.expression: CommExpr = parse_expr(
             L1_TWISTED_TEXT if twisted else L1_TEXT, self.alphabet
         )
-        self.vars = magnus.VariableSet.from_generators(self.meridians.generators)
-
-    def _meridian_word(self, w: GroupWord) -> GroupWord:
-        """Re-key a word over the scenario alphabet onto the 3-meridian
-        alphabet (identity on names)."""
-        return GroupWord(tuple((self.meridians[g.name], s) for g, s in w.letters))
+        meridians = [self.alphabet[n] for n in ("m2", "m3", "m4")]
+        self.vars = magnus.VariableSet.from_generators(meridians)
 
     def admissible(self, sub: dict) -> bool:
         a, b = self.alphabet["a"], self.alphabet["b"]
@@ -84,7 +79,7 @@ class HopfScenario:
             raise InadmissibleSubstitutionError(
                 "substitution must send a to a word in {m3,m4} and b to a word in {m2}"
             )
-        return self._meridian_word(substitute(self.expression, sub))
+        return substitute(self.expression, sub)
 
     def is_trivializing(self, sub: dict) -> bool:
         return magnus.is_trivial_word(self.build_substituted_l1(sub), self.vars)
@@ -155,7 +150,7 @@ def verify_hopf_triviality() -> dict:
     word = scenario.build_substituted_l1(sub)
     expansion = magnus.expand(word, scenario.vars)
 
-    m = {n: GroupWord.generator(scenario.meridians[n]) for n in ("m2", "m3", "m4")}
+    m = {n: GroupWord.generator(scenario.alphabet[n]) for n in ("m2", "m3", "m4")}
     jacobi_word = (
         commutator(commutator(m["m3"], m["m4"]), m["m2"])
         * commutator(commutator(m["m2"], m["m3"]), m["m4"])

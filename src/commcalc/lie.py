@@ -93,17 +93,13 @@ def comm_expr_to_tree(expr) -> CommTree:
     """Convert a parsed expression built from commutators and single
     generators into a bracket tree, keyed by each generator's trailing
     integer (m2 -> 2)."""
-    from .words import Commutator, Leaf
+    from .words import Commutator, Leaf, trailing_index
 
     if isinstance(expr, Leaf):
-        digits = ""
-        for ch in reversed(expr.gen.name):
-            if not ch.isdigit():
-                break
-            digits = ch + digits
-        if not digits:
+        index = trailing_index(expr.gen.name)
+        if index is None:
             raise TreeError(f"generator {expr.gen.name!r} has no integer index")
-        return int(digits)
+        return index
     if isinstance(expr, Commutator):
         return (comm_expr_to_tree(expr.left), comm_expr_to_tree(expr.right))
     raise TreeError("only commutators and single generators form bracket trees")

@@ -20,7 +20,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
-from .words import Generator, GroupWord, UnmappedGeneratorError
+from .words import Generator, GroupWord, UnmappedGeneratorError, trailing_index
 
 
 class NonUnitError(ValueError):
@@ -43,7 +43,7 @@ class VariableSet:
         """Index by the trailing integer of each name (m2 -> x2) when
         those are present and distinct, positionally otherwise."""
         gens = list(gens)
-        suffixes = [_trailing_int(g.name) for g in gens]
+        suffixes = [trailing_index(g.name) for g in gens]
         if all(s is not None for s in suffixes) and len(set(suffixes)) == len(suffixes):
             return VariableSet(dict(zip(gens, suffixes)))
         return VariableSet({g: i + 1 for i, g in enumerate(gens)})
@@ -62,13 +62,6 @@ class VariableSet:
             raise UnmappedGeneratorError(
                 f"generator {g.name!r} has no variable assigned"
             ) from None
-
-
-def _trailing_int(name: str) -> int | None:
-    i = len(name)
-    while i > 0 and name[i - 1].isdigit():
-        i -= 1
-    return int(name[i:]) if i < len(name) else None
 
 
 class MagnusPoly:

@@ -9,8 +9,8 @@ Q(sqrt 3) are QSqrt3s, three integers (a + b*sqrt(3))/d in lowest
 terms, so the grid pass is integer arithmetic.  The search is
 factored: rows sharing no variable are searched apart and joined by
 product, each row's last variable is solved rather than enumerated,
-and a block of SEARCH_BLOCKS whose rows read only its own variables is
-solved once and reused.
+the variable order is planned from the rows, and a block whose rows
+read only its own variables is solved once and reused.
 
 The system lives in 12 variables a3,a4,a5,a6,b1,b2,b5,b6,c1,c2,c3,c4
 (the homological band-sum multiplicities; the missing a1,a2,b3,b4,c5,c6
@@ -38,16 +38,6 @@ from typing import Iterable, Sequence
 VARIABLES: tuple[str, ...] = (
     "a3", "a4", "a5", "a6", "b1", "b2", "b5", "b6", "c1", "c2", "c3", "c4",
 )
-
-#: Search blocks: the coupled subsystems {(2),(3)} and {(4),(7)} are
-#: decided first; in the third, c2, c1 and a6 come last so that rows
-#: (5), (10) and (6) solve them.
-SEARCH_BLOCKS: tuple[tuple[str, ...], ...] = (
-    ("b5", "b6", "c3", "c4"),
-    ("a3", "a4", "b1", "b2"),
-    ("a5", "c2", "c1", "a6"),
-)
-SEARCH_ORDER: tuple[str, ...] = tuple(v for block in SEARCH_BLOCKS for v in block)
 
 #: Most solutions integer_search lists; the product of the component
 #: counts is checked against it before the components are joined.
@@ -468,10 +458,11 @@ def integer_search(
       enumerates x when r == target and is pruned when not.  Only
       variables that end no row are enumerated.  Every other row ending
       at the same variable is checked the moment it is assigned.
-    * Variables are taken block by block in SEARCH_BLOCKS order.  A
-      block whose rows read only its own variables -- {(4),(7)} in the
-      full system -- is solved once, and its local solutions are reused
-      under every solution of the blocks before it.
+    * Variables are taken in an order planned from the rows (see
+      _search_order), in blocks that end where rows end.  A block whose
+      rows read only its own variables -- {(4),(7)} and {(12),(15)} in
+      the full system -- is solved once, and its local solutions are
+      reused under every solution of the blocks before it.
 
     Returns (variables in canonical order, sorted solution tuples).
     Unknown row labels, and more than MAX_SOLUTIONS solutions, raise
@@ -529,85 +520,84 @@ def _value(terms, val) -> int:
     return total
 
 
+def _search_order(rows: list) -> tuple[tuple[str, ...], list]:
+    """The search plan of a component: its variables and its rows in
+    search order.  Rows with equal variable sets form one group, as each
+    coupled pair (2),(3), (4),(7) and (12),(15) does.  Until no group is
+    left, the group adding the fewest new variables goes next (ties:
+    more rows first, then sorted names) and appends its new variables
+    in sorted order, so rows close as early as they can."""
+    groups: dict = {}
+    for eq in rows:
+        groups.setdefault(frozenset(_variables_of(eq)), []).append(eq)
+    order, plan = [], []
+    while groups:
+        seen = set(order)
+        names = min(groups, key=lambda s: (len(s - seen), -len(groups[s]), sorted(s)))
+        order += sorted(names - seen)
+        plan += groups.pop(names)
+    return tuple(order), plan
+
+
 def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     """Solutions of one connected component, over its variables in
-    SEARCH_ORDER."""
-    used = tuple(v for v in SEARCH_ORDER if any(v in _variables_of(eq) for eq in rows))
-    depth_of = {v: i for i, v in enumerate(used)}
-
-    # steps[d] = None (enumerate the variable at depth d) or
-    # (a terms, r terms, target) of the row that solves it; checks[d]
-    # are the other rows that end at depth d.
-    steps: list = [None] * len(used)
-    checks: list[list] = [[] for _ in used]
-    spans = []
-    for eq in rows:
+    _search_order.  A block ends at every depth where a row ends, so one
+    product over the domain enumerates its variables before the last;
+    the first row ending at the last variable solves it, the others
+    check it."""
+    order, plan = _search_order(rows)
+    depth_of = {v: i for i, v in enumerate(order)}
+    ending: dict = {}  # depth -> [(terms over depths, target)] in plan order
+    for eq in plan:
         terms = [(c, tuple(depth_of[v] for v in m)) for (c, m) in eq.terms]
-        d = max(i for _, idxs in terms for i in idxs)
-        spans.append((d, min(i for _, idxs in terms for i in idxs)))
-        if steps[d] is None:
-            steps[d] = (
-                [(c, tuple(i for i in idxs if i != d)) for c, idxs in terms if d in idxs],
-                [(c, idxs) for c, idxs in terms if d not in idxs],
-                eq.target,
-            )
-        else:
-            checks[d].append((terms, eq.target))
+        last = max(i for _, idxs in terms for i in idxs)
+        ending.setdefault(last, []).append((terms, eq.target))
+
+    blocks = []  # (lo, last, a terms, r terms, target, check rows)
+    lo = 0
+    for last, ((terms, target), *checks) in sorted(ending.items()):
+        a_terms = [(c, tuple(i for i in idxs if i != last)) for c, idxs in terms if last in idxs]
+        r_terms = [(c, idxs) for c, idxs in terms if last not in idxs]
+        blocks.append((lo, last, a_terms, r_terms, target, checks))
+        lo = last + 1
 
     domain = range(-bound, bound + 1)
-    val = [0] * len(used)
+    val = [0] * len(order)
 
-    def block_solutions(lo: int, hi: int) -> list[tuple[int, ...]]:
-        """Assignments of depths lo..hi-1 under the values already in val."""
+    def block_solutions(lo, last, a_terms, r_terms, target, checks) -> list[tuple[int, ...]]:
+        """Assignments of depths lo..last under the values already in val."""
         found = []
-
-        def rec(d: int):
-            if d == hi:
-                found.append(tuple(val[lo:hi]))
-                return
-            step = steps[d]
-            if step is None:
-                candidates = domain
+        for head in itertools.product(domain, repeat=last - lo):
+            val[lo:last] = head
+            a = _value(a_terms, val)
+            rest = target - _value(r_terms, val)
+            if a:
+                x, remainder = divmod(rest, a)
+                candidates = (x,) if not remainder and -bound <= x <= bound else ()
             else:
-                a_terms, r_terms, target = step
-                a = _value(a_terms, val)
-                rest = target - _value(r_terms, val)
-                if a:
-                    x, remainder = divmod(rest, a)
-                    candidates = (x,) if not remainder and -bound <= x <= bound else ()
-                else:
-                    candidates = domain if rest == 0 else ()
+                candidates = domain if rest == 0 else ()
             for x in candidates:
-                val[d] = x
-                for terms, target in checks[d]:
-                    if _value(terms, val) != target:
+                val[last] = x
+                for terms, t in checks:
+                    if _value(terms, val) != t:
                         break
                 else:
-                    rec(d + 1)
-
-        rec(lo)
+                    found.append(tuple(val[lo:last + 1]))
         return found
 
-    # (lo, hi, solutions if the block is self-contained, else None)
-    blocks = []
-    for block in SEARCH_BLOCKS:
-        depths = [depth_of[v] for v in block if v in depth_of]
-        if not depths:
-            continue
-        lo, hi = depths[0], depths[-1] + 1
-        self_contained = all(first >= lo for last, first in spans if lo <= last < hi)
-        blocks.append((lo, hi, block_solutions(lo, hi) if self_contained else None))
-
+    # a block whose rows read only its own variables is solved once
+    fixed = {k: block_solutions(*b) for k, b in enumerate(blocks)
+             if all(i >= b[0] for terms, _ in ending[b[1]] for _, idxs in terms for i in idxs)}
     found = []
 
     def walk(k: int):
         if k == len(blocks):
             found.append(tuple(val))
             return
-        lo, hi, fixed = blocks[k]
-        for sol in fixed if fixed is not None else block_solutions(lo, hi):
-            val[lo:hi] = sol
+        lo, last = blocks[k][:2]
+        for sol in fixed[k] if k in fixed else block_solutions(*blocks[k]):
+            val[lo:last + 1] = sol
             walk(k + 1)
 
     walk(0)
-    return used, found
+    return order, found

@@ -75,7 +75,7 @@ class Alphabet:
         if len(set(names)) != len(names):
             raise WordError(f"duplicate generator names in {names}")
         for n in names:
-            if not (n and n[0].isalpha() and n.isalnum()):
+            if not n or _name_end(n, 0) != len(n):
                 raise WordError(f"invalid generator name: {n!r}")
         self._gens = tuple(Generator(n, i) for i, n in enumerate(names))
         self._by_name = {g.name: g for g in self._gens}
@@ -106,6 +106,35 @@ class Alphabet:
         if not text.strip():
             return GroupWord()
         return expr_to_word(parse_expr(text, self))
+
+
+def _name_end(text: str, start: int) -> int:
+    """End of the generator name at text[start] -- a letter, then
+    letters and digits -- or start when no name starts there."""
+    end = start
+    while end < len(text) and (text[end].isalnum() if end > start else text[end].isalpha()):
+        end += 1
+    return end
+
+
+def generator_names(text: str) -> list[str]:
+    """The distinct generator names in text, in order of first
+    appearance, read by the parser's rule."""
+    names, pos = {}, 0
+    while pos < len(text):
+        end = _name_end(text, pos)
+        if end > pos:
+            names[text[pos:end]] = None
+        pos = max(end, pos + 1)
+    return list(names)
+
+
+def trailing_index(name: str) -> int | None:
+    """The decimal number a generator name ends in (m2 -> 2), or None."""
+    start = len(name)
+    while start > 0 and name[start - 1].isdecimal():
+        start -= 1
+    return int(name[start:]) if start < len(name) else None
 
 
 #: Most letters a flattened word may have.  Powers above this are a
@@ -286,14 +315,13 @@ class _Tokens:
     def name(self) -> tuple[str, int]:
         self.skip_ws()
         start = self.pos
-        if self.pos >= len(self.text) or not self.text[self.pos].isalpha():
+        self.pos = _name_end(self.text, start)
+        if self.pos == start:
             raise ParseError(
                 f"unexpected {self.peek()!r}" if self.peek() else "unexpected end of input",
-                self.pos,
+                start,
                 expected="generator name, '[' or '('",
             )
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
         return self.text[start:self.pos], start
 
     def integer(self) -> int:
@@ -301,10 +329,10 @@ class _Tokens:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        if self.pos >= len(self.text) or not self.text[self.pos].isdigit():
+        if self.pos >= len(self.text) or not self.text[self.pos].isdecimal():
             raise ParseError("bad exponent", start, expected="integer or base")
         first = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         # int() refuses more than 4300 digits; an exponent with more
         # digits than MAX_WORD_LENGTH is out of range, which _power reports
@@ -337,7 +365,7 @@ def _parse_factor(toks: _Tokens, alphabet: Alphabet) -> CommExpr:
         return base
     toks.take("^")
     ch = toks.peek()
-    if ch == "-" or ch.isdigit():
+    if ch == "-" or ch.isdecimal():
         at = toks.pos
         n = toks.integer()
         return _power(base, n, at)

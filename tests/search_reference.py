@@ -3,10 +3,10 @@ enumerates every variable over the whole domain and checks each row the
 moment its last variable is assigned.  It shares nothing with the
 factored search but the equation table, so tests hold the two equal.
 
-The variable order is taken from the rows rather than from the search
-blocks: the row with the fewest unassigned variables goes next, so rows
-close as early as they can.  The order changes only the speed, never
-the result.
+The variable order is its own, row by row: the row with the fewest
+unassigned variables goes next, so rows close as early as they can.
+The factored search plans by groups of rows instead; the order changes
+only the speed, never the result.
 """
 
 from commcalc.obstruction import VARIABLES, obstruction_system

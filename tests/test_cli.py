@@ -1,7 +1,10 @@
 """CLI behaviour: outputs, exit codes, JSON stability, schema."""
 
+import contextlib
+import io
 import json
 import pathlib
+import random
 import re
 
 import pytest
@@ -11,6 +14,12 @@ from commcalc import lie
 from commcalc.cli import main, parse_scalar, validate_report
 from commcalc.obstruction import QSqrt3
 from fractions import Fraction
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # the `test` extra is not installed
+    hypothesis = None
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -52,6 +61,27 @@ def test_lie_to_basis_command(capsys):
     code, out, _ = run(capsys, "lie", "to-basis", "[m2,[[m3,m4],[m5,m6]]]")
     assert code == 0
     assert out.splitlines()[0] == "[m2,[m3,[m4,[m5,m6]]]] - [m2,[m4,[m3,[m5,m6]]]]"
+
+
+def test_reduce_reads_names_as_the_parser_does(capsys):
+    code, out, _ = run(capsys, "reduce", "é*é^-1")
+    assert (code, out.splitlines()[0]) == (0, "1")
+    code, out, _ = run(capsys, "reduce", "[é,x2]*ü")
+    assert (code, out.splitlines()[0]) == (0, "é^-1 x2^-1 é x2 ü")
+
+
+def test_magnus_indexes_by_trailing_decimal(capsys):
+    # "²" is no decimal, so x² is indexed by position
+    code, out, _ = run(capsys, "magnus", "x²", "--vars", "x²")
+    assert (code, out.splitlines()[0]) == (0, "1 + x1")
+    code, out, _ = run(capsys, "magnus", "a1*a٣", "--vars", "a1,a٣")
+    assert (code, out.splitlines()[0]) == (0, "1 + x1 + x3 + x1x3")
+
+
+def test_superscript_exponent_exits_2(capsys):
+    code, _, err = run(capsys, "reduce", "x^²")
+    assert code == 2
+    assert "offset 2" in err
 
 
 def test_verify_lemma41_json(capsys):
@@ -348,3 +378,66 @@ def test_validate_report_catches_defects():
 def test_version_and_help(capsys):
     assert run(capsys, "--version")[0] == 0
     assert run(capsys, "--help")[0] == 0
+
+
+# --- exit-code contract on arbitrary text ---------------------------------
+
+_WORD_TOKENS = ["a", "b", "x1", "m2", "m3", "m6", "é", "x²", "a٣", "[", "]", "(", ")",
+                ",", "*", "^", "-", "1", "2", "99", "٣", "²", " ",
+                "[m2,m3]", "[m4,[m5,m6]]", "[a,b]^-1", "(x1*é)^2"]
+_LABEL_TOKENS = ["0", "1", "2", "3", "7", "15", "16", "-1", "٣", ",", " "]
+_NAMES = ["a", "b", "x1", "m2", "m3", "é", "x²", "a٣", "1", ""]
+_COMMANDS = ["reduce", "magnus", "lie", "search"]
+
+
+def _fuzz_argv(command, pieces, names):
+    # exponents of at most two digits keep every word short
+    text = re.sub(r"\d{3,}", lambda m: m.group()[:2], "".join(pieces))
+    # declare the text's own names too, so that some expansions run
+    names = ",".join(dict.fromkeys(names + re.findall(r"[^\W\d_]\w*", text)))
+    return {
+        "reduce": ["reduce", "--", text],
+        "magnus": ["magnus", f"--vars={names}", "--", text],
+        "lie": ["lie", "to-basis", "--", text],
+        "search": ["system", "search", "--bound", "1", f"--subsystem={text}"],
+    }[command]
+
+
+def check_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "internal error" not in err.getvalue(), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+if hypothesis is None:
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_exit_contract_on_arbitrary_text(command):
+        rng = random.Random(f"exit-{command}")
+        tokens = _LABEL_TOKENS if command == "search" else _WORD_TOKENS
+        for _ in range(100):
+            pieces = [
+                rng.choice(tokens) if rng.random() < 0.9 else chr(rng.randrange(32, 0x3000))
+                for _ in range(rng.randrange(13))
+            ]
+            names = rng.sample(_NAMES, rng.randrange(4))
+            check_exit_contract(_fuzz_argv(command, pieces, names))
+
+else:
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_exit_contract_on_arbitrary_text(command):
+        tokens = _LABEL_TOKENS if command == "search" else _WORD_TOKENS
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(
+            st.lists(st.one_of(st.sampled_from(tokens), st.characters()), max_size=12),
+            st.lists(st.sampled_from(_NAMES), max_size=3),
+        )
+        def check(pieces, names):
+            check_exit_contract(_fuzz_argv(command, pieces, names))
+
+        check()

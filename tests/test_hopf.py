@@ -149,7 +149,7 @@ def test_twisted_band_variant_is_solvable():
 
 def test_conjugation_invariance_of_substituted_words():
     scenario = HopfScenario()
-    meridian_gens = [scenario.meridians[n] for n in ("m2", "m3", "m4")]
+    meridian_gens = [scenario.alphabet[n] for n in ("m2", "m3", "m4")]
     # nontrivial top-degree word: the empty substitution
     word = scenario.build_substituted_l1(scenario.substitution("", ""))
     base = magnus.expand(word, scenario.vars)

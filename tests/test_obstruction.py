@@ -11,7 +11,6 @@ from search_reference import reference_search
 from commcalc import obstruction
 from commcalc.obstruction import (
     FAMILIES,
-    SEARCH_ORDER,
     VARIABLES,
     PoleError,
     QSqrt3,
@@ -362,5 +361,32 @@ def test_system_is_built_once_and_cross_checked(monkeypatch):
     assert obstruction_system().cross_check["all_agree"]
 
 
-def test_search_order_covers_all_variables():
-    assert sorted(SEARCH_ORDER) == sorted(VARIABLES)
+def test_search_plan_orders_every_small_subset():
+    # the subsets of the reference sweep: the plan lists each variable
+    # once and takes rows with equal variable sets together
+    for size in (1, 2, 3):
+        for labels in itertools.combinations(range(1, 16), size):
+            rows = [eq for eq in obstruction_system().subsystem(labels) if eq.terms]
+            order, plan = obstruction._search_order(rows)
+            sets = [frozenset(obstruction._variables_of(eq)) for eq in plan]
+            assert sorted(order) == sorted(set().union(*sets))
+            assert sorted(eq.label for eq in plan) == [eq.label for eq in rows]
+            for names in set(sets):
+                at = [i for i, other in enumerate(sets) if other == names]
+                assert at == list(range(at[0], at[-1] + 1)), labels
+
+
+def test_full_system_plan():
+    order, plan = obstruction._search_order([eq for eq in obstruction_system() if eq.terms])
+    assert " ".join(order) == "a3 a4 b1 b2 a5 a6 c1 c2 b6 c4 b5 c3"
+    assert [eq.label for eq in plan][:4] == [4, 7, 12, 15]
+
+
+def test_subsystem_without_a_coupled_pair_is_fast():
+    # an order that closes neither row (6) nor row (14) before the last
+    # of their ten variables enumerates nine of them (5^9 nodes); the
+    # plan closes row (6) after five
+    t0 = time.perf_counter()
+    found = integer_search(2, [6, 14])
+    assert time.perf_counter() - t0 < 1.0
+    assert found == reference_search(2, [6, 14])

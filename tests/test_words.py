@@ -99,6 +99,28 @@ def test_unknown_generator_rejected():
         ABC["nope"]
 
 
+def test_one_name_rule():
+    # a letter, then letters or digits, as the parser reads names
+    assert words.generator_names("[é2,x]*x^-12 * é2 2y") == ["é2", "x", "y"]
+    assert words.generator_names("^-1 , 12") == []
+    alphabet = Alphabet(words.generator_names("x²*é"))
+    assert print_expr(parse_expr("x²*é", alphabet)) == "x²*é"
+    with pytest.raises(words.WordError, match="invalid generator name"):
+        Alphabet(["2x"])
+    # the index is the trailing run of decimal digits: "²" is a digit
+    # but not a decimal, and any script's decimals count
+    assert words.trailing_index("m12") == 12
+    assert words.trailing_index("a٣") == 3
+    assert words.trailing_index("x²") is None
+    assert words.trailing_index("x") is None
+
+
+def test_superscript_exponent_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_expr("x^²", ABC)
+    assert err.value.offset == 2
+
+
 def test_zero_exponent_rejected():
     with pytest.raises(ParseError):
         parse_expr("x^0", ABC)
