@@ -1,12 +1,12 @@
 """commcalc: exact-arithmetic commutator calculus.
 
-Free-group words and commutator expressions, Magnus expansions in the
-squarefree truncated power-series ring, multilinear free-Lie reduction
-(basis coordinates and the quotient dimension read off the tensor
-expansion, the basis rank and the rank-14 dependency certified by
-fraction-free integer elimination), and
-the band-sum obstruction system with its Q(sqrt 3) solution families
-and bounded integer search.
+Free-group words and commutator expressions over generator names (a
+generator is its name), Magnus expansions in the squarefree truncated
+power-series ring, multilinear free-Lie reduction (basis coordinates
+and the quotient dimension read off the tensor expansion, the basis
+rank and the rank-14 dependency certified by fraction-free integer
+elimination), and the band-sum obstruction system with its Q(sqrt 3)
+solution families and bounded integer search.
 """
 
 __version__ = "0.1.0"
@@ -16,7 +16,6 @@ from .words import (  # noqa: F401
     CommExpr,
     Commutator,
     Conjugate,
-    Generator,
     GroupWord,
     Inverse,
     Leaf,
@@ -33,10 +32,8 @@ from .words import (  # noqa: F401
 )
 from .magnus import (  # noqa: F401
     MagnusPoly,
-    NonUnitError,
     VariableSet,
     expand,
-    invert,
     is_trivial_word,
     lcs_degree,
 )

@@ -97,7 +97,7 @@ def cmd_reduce(args) -> int:
         "expression": args.expr,
         "reduced": str(word),
         "length": len(word),
-        "letters": [[g.name, s] for g, s in word.letters],
+        "letters": [[g, s] for g, s in word.letters],
     }
     report = _report("reduce", True, payload, t0)
     return _emit(report, [str(word)], args.json)
@@ -252,13 +252,22 @@ def cmd_verify(args) -> int:
     return _emit(report, text, args.json)
 
 
+def _row_labels(text: str) -> list[int]:
+    """The row labels of --subsystem: ASCII decimal numbers separated by
+    commas or spaces.  A label of more than six digits, leading zeros
+    aside, names no row and is refused before int() reads it."""
+    labels = [x for x in re.split(r"[,\s]+", text.strip()) if x]
+    if not labels:
+        raise ValueError(f"--subsystem {text!r} names no row labels")
+    for x in labels:
+        if not re.fullmatch(r"0*[0-9]{1,6}", x):
+            raise ValueError(f"--subsystem label {x!r} is not a row number")
+    return [int(x) for x in labels]
+
+
 def cmd_system_search(args) -> int:
     t0 = time.perf_counter()
-    labels = None
-    if args.subsystem is not None:
-        labels = [int(x) for x in re.split(r"[,\s]+", args.subsystem.strip()) if x]
-        if not labels:
-            raise ValueError(f"--subsystem {args.subsystem!r} names no row labels")
+    labels = None if args.subsystem is None else _row_labels(args.subsystem)
     canon, sols = obstruction.integer_search(args.bound, labels=labels)
     full = labels is None
     payload = {

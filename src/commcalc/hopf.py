@@ -30,6 +30,9 @@ from .words import (
 
 L1_TEXT = "[[m3,m4*b]*[b,m4],m2*a]"
 
+#: The meridians the substituted longitude is a word in.
+MERIDIANS = ("m2", "m3", "m4")
+
 #: Same word with the second b-meridian reversed: the variant produced
 #: by a twisted band in the defining diagram.
 L1_TWISTED_TEXT = "[[m3,m4*b]*[b^-1,m4],m2*a]"
@@ -43,34 +46,27 @@ class HopfScenario:
     """The fixed longitude expression plus the admissibility policy."""
 
     def __init__(self, twisted: bool = False):
-        self.alphabet = Alphabet(["m2", "m3", "m4", "a", "b"])
+        self.alphabet = Alphabet([*MERIDIANS, "a", "b"])
         self.twisted = twisted
         self.expression: CommExpr = parse_expr(
             L1_TWISTED_TEXT if twisted else L1_TEXT, self.alphabet
         )
-        meridians = [self.alphabet[n] for n in ("m2", "m3", "m4")]
-        self.vars = magnus.VariableSet.from_generators(meridians)
+        self.vars = magnus.VariableSet.from_generators(MERIDIANS)
 
     def admissible(self, sub: dict) -> bool:
-        a, b = self.alphabet["a"], self.alphabet["b"]
-        if set(sub) != {a, b}:
-            return False
-        ok_a = {g.name for g in sub[a].generators()} <= {"m3", "m4"}
-        ok_b = {g.name for g in sub[b].generators()} <= {"m2"}
-        return ok_a and ok_b
+        return (
+            set(sub) == {"a", "b"}
+            and sub["a"].generators() <= {"m3", "m4"}
+            and sub["b"].generators() <= {"m2"}
+        )
 
     def substitution(self, a_word: str, b_word: str) -> dict:
-        return {
-            self.alphabet["a"]: self.alphabet.word(a_word),
-            self.alphabet["b"]: self.alphabet.word(b_word),
-        }
+        return {"a": self.alphabet.word(a_word), "b": self.alphabet.word(b_word)}
 
     def power_substitution(self, s3: int, s4: int, t: int) -> dict:
         """a -> m3^s3 m4^s4, b -> m2^t."""
-        m2 = GroupWord.generator(self.alphabet["m2"])
-        m3 = GroupWord.generator(self.alphabet["m3"])
-        m4 = GroupWord.generator(self.alphabet["m4"])
-        return {self.alphabet["a"]: m3**s3 * m4**s4, self.alphabet["b"]: m2**t}
+        m2, m3, m4 = (GroupWord.generator(m) for m in MERIDIANS)
+        return {"a": m3**s3 * m4**s4, "b": m2**t}
 
     def build_substituted_l1(self, sub: dict) -> GroupWord:
         """The freely reduced longitude after band-sum substitution,
@@ -104,8 +100,7 @@ def _identity_certificates() -> dict:
     """Free-word identities behind the reduction: the commutator product
     rules, the inverse rule [x^-1,y] = [y,x]^(x^-1), and the Hall-Witt
     word, over every ordered triple of distinct meridians."""
-    alphabet = Alphabet(["m2", "m3", "m4"])
-    gens = [GroupWord.generator(g) for g in alphabet.generators]
+    gens = [GroupWord.generator(m) for m in MERIDIANS]
     product_left = True
     product_right = True
     inverse_rule = True
@@ -150,7 +145,7 @@ def verify_hopf_triviality() -> dict:
     word = scenario.build_substituted_l1(sub)
     expansion = magnus.expand(word, scenario.vars)
 
-    m = {n: GroupWord.generator(scenario.alphabet[n]) for n in ("m2", "m3", "m4")}
+    m = {n: GroupWord.generator(n) for n in MERIDIANS}
     jacobi_word = (
         commutator(commutator(m["m3"], m["m4"]), m["m2"])
         * commutator(commutator(m["m2"], m["m3"]), m["m4"])

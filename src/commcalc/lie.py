@@ -96,9 +96,9 @@ def comm_expr_to_tree(expr) -> CommTree:
     from .words import Commutator, Leaf, trailing_index
 
     if isinstance(expr, Leaf):
-        index = trailing_index(expr.gen.name)
+        index = trailing_index(expr.gen)
         if index is None:
-            raise TreeError(f"generator {expr.gen.name!r} has no integer index")
+            raise TreeError(f"generator {expr.gen!r} has no integer index")
         return index
     if isinstance(expr, Commutator):
         return (comm_expr_to_tree(expr.left), comm_expr_to_tree(expr.right))

@@ -1,16 +1,19 @@
 """The squarefree non-commutative truncated power-series ring and the
 Magnus expansion of group words.
 
-Variables x_i are indexed by small integers.  Monomials are ordered
-index sequences with no repeats: any product that would repeat an index
-is killed, which makes the ring finite-dimensional (326 monomials at
-n=5) and makes every inverse a finite geometric series.
+Variables x_i are indexed by small integers; a `VariableSet` assigns
+them to generator names.  Monomials are ordered index sequences with no
+repeats: any product that would repeat an index is killed, which makes
+the ring finite-dimensional (326 monomials at n=5).
 
 A word is trivial in the free Milnor group exactly when its expansion
 here is 1; the expansion of g^-1 collapses to 1 - x because the higher
 powers of a single variable die in the quotient.  For the same reason
 a run of e equal letters expands to (1 +- x)^|e| = 1 + e x, so `expand`
-multiplies in one run at a time, updating its terms in place.
+multiplies in one run at a time, updating its terms in place.  The
+verifier only compares and prints expansions, so `MagnusPoly` has no
+ring arithmetic; the letter-by-letter product that `expand` is tested
+against lives with the tests.
 """
 
 from __future__ import annotations
@@ -20,18 +23,14 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
-from .words import Generator, GroupWord, UnmappedGeneratorError, trailing_index
-
-
-class NonUnitError(ValueError):
-    """Inversion requested for a series whose constant term is not 1."""
+from .words import GroupWord, UnmappedGeneratorError, trailing_index
 
 
 @dataclass(frozen=True)
 class VariableSet:
-    """An ordered set of variable indices plus the generator mapping."""
+    """Generator names and the distinct variable indices they map to."""
 
-    mapping: dict  # Generator -> int
+    mapping: dict  # name -> int
 
     def __post_init__(self):
         idx = list(self.mapping.values())
@@ -39,14 +38,14 @@ class VariableSet:
             raise ValueError(f"variable indices must be distinct: {idx}")
 
     @staticmethod
-    def from_generators(gens: Iterable[Generator]) -> "VariableSet":
+    def from_generators(names: Iterable[str]) -> "VariableSet":
         """Index by the trailing integer of each name (m2 -> x2) when
         those are present and distinct, positionally otherwise."""
-        gens = list(gens)
-        suffixes = [trailing_index(g.name) for g in gens]
+        names = list(names)
+        suffixes = [trailing_index(n) for n in names]
         if all(s is not None for s in suffixes) and len(set(suffixes)) == len(suffixes):
-            return VariableSet(dict(zip(gens, suffixes)))
-        return VariableSet({g: i + 1 for i, g in enumerate(gens)})
+            return VariableSet(dict(zip(names, suffixes)))
+        return VariableSet({n: i + 1 for i, n in enumerate(names)})
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -55,81 +54,30 @@ class VariableSet:
     def __len__(self) -> int:
         return len(self.mapping)
 
-    def index_of(self, g: Generator) -> int:
+    def index_of(self, name: str) -> int:
         try:
-            return self.mapping[g]
+            return self.mapping[name]
         except KeyError:
             raise UnmappedGeneratorError(
-                f"generator {g.name!r} has no variable assigned"
+                f"generator {name!r} has no variable assigned"
             ) from None
 
 
 class MagnusPoly:
-    """Sparse element of the squarefree ring: monomial tuple -> integer.
-
-    Immutable by discipline; arithmetic returns new values and never
-    stores a zero coefficient or a repeated-index monomial.
-    """
+    """Sparse element of the squarefree ring: monomial tuple -> integer,
+    with no zero coefficient and no repeated-index monomial.  It is the
+    value `expand` returns, read by comparison and printing only."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
         self.terms = dict(terms) if terms else {}
 
-    @staticmethod
-    def one() -> "MagnusPoly":
-        return MagnusPoly({(): 1})
-
-    @staticmethod
-    def letter(index: int, sign: int) -> "MagnusPoly":
-        """Expansion of a single signed letter: 1 + x or 1 - x."""
-        return MagnusPoly({(): 1, (index,): sign})
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MagnusPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "MagnusPoly") -> "MagnusPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            c = out.get(k, 0) + v
-            if c:
-                out[k] = c
-            else:
-                out.pop(k, None)
-        return MagnusPoly(out)
-
-    def __neg__(self) -> "MagnusPoly":
-        return MagnusPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "MagnusPoly") -> "MagnusPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MagnusPoly") -> "MagnusPoly":
-        out: dict = {}
-        for ka, va in self.terms.items():
-            sa = set(ka)
-            for kb, vb in other.terms.items():
-                if sa & set(kb):
-                    continue  # repeated index: dies in the quotient
-                k = ka + kb
-                c = out.get(k, 0) + va * vb
-                if c:
-                    out[k] = c
-                else:
-                    out.pop(k, None)
-        return MagnusPoly(out)
-
-    def constant_term(self) -> int:
-        return self.terms.get((), 0)
-
     def is_one(self) -> bool:
         return self.terms == {(): 1}
-
-    def degree_part(self, d: int) -> dict:
-        return {k: v for k, v in self.terms.items() if len(k) == d}
 
     def min_degree(self) -> int | None:
         """Smallest length of a non-constant term, None if there is none."""
@@ -187,23 +135,6 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
     for group in by_support.values():
         terms.update(group)
     return MagnusPoly(terms)
-
-
-def invert(p: MagnusPoly) -> MagnusPoly:
-    """Inverse via the finite geometric series; the augmentation ideal
-    is nilpotent, so (1+m)^-1 = 1 - m + m^2 - ... terminates."""
-    if p.constant_term() != 1:
-        raise NonUnitError(f"constant term is {p.constant_term()}, not 1")
-    m = p - MagnusPoly.one()
-    out = MagnusPoly.one()
-    power = MagnusPoly.one()
-    sign = 1
-    while True:
-        power = power * m
-        if not power.terms:
-            return out
-        sign = -sign
-        out = out + (power if sign > 0 else -power)
 
 
 def is_trivial_word(w: GroupWord, vars: VariableSet) -> bool:

@@ -1,6 +1,11 @@
 """Free-group words over a declared generator alphabet, commutator
 expression trees, parsing, free reduction, and substitution.
 
+A generator is its name: a letter is a (name, sign) pair and a `Leaf`
+holds a name, so one name means one generator whichever alphabet
+declared it.  An `Alphabet` only checks that parsed names were
+declared.
+
 Conventions (fixed so the classical commutator identities hold
 letter-for-letter):
 
@@ -35,7 +40,7 @@ class UnknownGeneratorError(WordError):
 
 
 class UnmappedGeneratorError(WordError):
-    """Total substitution requested but a leaf generator has no image."""
+    """A generator with no Magnus variable assigned to it."""
 
 
 class ParseError(WordError):
@@ -48,23 +53,8 @@ class ParseError(WordError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A named free-group generator with a small integer tag.
-
-    The tag is what downstream variable sets key on; within an Alphabet
-    the tags are a bijection onto a contiguous range.
-    """
-
-    name: str
-    index: int
-
-    def __repr__(self) -> str:
-        return f"Generator({self.name!r}, {self.index})"
-
-
 class Alphabet:
-    """The generator universe of a session, declared up front.
+    """The generator names of a session, declared up front.
 
     Parsing refuses names outside the alphabet; this catches typos in
     expression input instead of silently minting new generators.
@@ -72,32 +62,27 @@ class Alphabet:
 
     def __init__(self, names: Iterable[str]):
         names = list(names)
-        if len(set(names)) != len(names):
+        self._names = dict.fromkeys(names)
+        if len(self._names) != len(names):
             raise WordError(f"duplicate generator names in {names}")
         for n in names:
             if not n or _name_end(n, 0) != len(n):
                 raise WordError(f"invalid generator name: {n!r}")
-        self._gens = tuple(Generator(n, i) for i, n in enumerate(names))
-        self._by_name = {g.name: g for g in self._gens}
 
     @property
-    def generators(self) -> tuple[Generator, ...]:
-        return self._gens
-
-    def __iter__(self):
-        return iter(self._gens)
+    def generators(self) -> tuple[str, ...]:
+        """The names in declaration order."""
+        return tuple(self._names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._names
 
-    def __getitem__(self, name: str) -> Generator:
-        try:
-            return self._by_name[name]
-        except KeyError:
+    def __getitem__(self, name: str) -> str:
+        if name not in self._names:
             raise UnknownGeneratorError(
-                f"unknown generator {name!r}; alphabet is "
-                f"{[g.name for g in self._gens]}"
-            ) from None
+                f"unknown generator {name!r}; alphabet is {list(self._names)}"
+            )
+        return name
 
     def word(self, text: str) -> "GroupWord":
         """Convenience: parse text and flatten it to a reduced word.
@@ -130,11 +115,20 @@ def generator_names(text: str) -> list[str]:
 
 
 def trailing_index(name: str) -> int | None:
-    """The decimal number a generator name ends in (m2 -> 2), or None."""
+    """The decimal number a generator name ends in (m2 -> 2), or None.
+    A number too long for int() to read is a WordError."""
     start = len(name)
     while start > 0 and name[start - 1].isdecimal():
         start -= 1
-    return int(name[start:]) if start < len(name) else None
+    if start == len(name):
+        return None
+    try:
+        return int(name[start:])
+    except ValueError:
+        raise WordError(
+            f"generator {name!r} ends in a number of {len(name) - start} digits, "
+            "too long to index"
+        ) from None
 
 
 #: Most letters a flattened word may have.  Powers above this are a
@@ -164,7 +158,7 @@ def _reduced(letters: tuple) -> "GroupWord":
 class GroupWord:
     """An element of the free group in normal form.
 
-    letters is a tuple of (Generator, sign) pairs with sign in {+1,-1};
+    letters is a tuple of (name, sign) pairs with sign in {+1,-1};
     the constructor freely reduces, so equal group elements compare equal.
     Immutable: all operations return new words.
     """
@@ -175,7 +169,7 @@ class GroupWord:
         object.__setattr__(self, "letters", _reduce_letters(self.letters))
 
     @staticmethod
-    def generator(g: Generator, sign: int = 1) -> "GroupWord":
+    def generator(g: str, sign: int = 1) -> "GroupWord":
         if sign not in (1, -1):
             raise WordError(f"sign must be +1 or -1, got {sign}")
         return GroupWord(((g, sign),))
@@ -206,16 +200,13 @@ class GroupWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def generators(self) -> set:
+    def generators(self) -> set[str]:
         return {g for g, _ in self.letters}
 
     def __str__(self) -> str:
         if not self.letters:
             return "1"
-        parts = []
-        for g, s in self.letters:
-            parts.append(g.name if s == 1 else f"{g.name}^-1")
-        return " ".join(parts)
+        return " ".join(g if s == 1 else f"{g}^-1" for g, s in self.letters)
 
 
 def commutator(x: GroupWord, y: GroupWord) -> GroupWord:
@@ -234,7 +225,7 @@ class CommExpr:
 
 @dataclass(frozen=True)
 class Leaf(CommExpr):
-    gen: Generator
+    gen: str
 
 
 @dataclass(frozen=True)
@@ -401,14 +392,14 @@ def _parse_base(toks: _Tokens, alphabet: Alphabet) -> CommExpr:
     name, start = toks.name()
     if name not in alphabet:
         raise ParseError(f"unknown generator {name!r}", start, expected="declared generator")
-    return Leaf(alphabet[name])
+    return Leaf(name)
 
 
 def print_expr(e: CommExpr) -> str:
     """Concrete syntax for an expression; parse(print_expr(e)) is
     structurally identical to e for parser-produced trees."""
     if isinstance(e, Leaf):
-        return e.gen.name
+        return e.gen
     if isinstance(e, Inverse):
         return f"{_print_base(e.base)}^-1"
     if isinstance(e, Product):
@@ -435,39 +426,32 @@ def _print_factor(e: CommExpr) -> str:
 # --- evaluation ------------------------------------------------------------
 
 
-def substitute(
-    e: CommExpr,
-    mapping: Mapping[Generator, GroupWord],
-    require_total: bool = False,
-) -> GroupWord:
-    """Flatten e to a reduced word, replacing mapped leaves by their
-    image words.  Unmapped generators stand for themselves unless the
-    caller requests a total substitution."""
+def substitute(e: CommExpr, mapping: Mapping[str, GroupWord]) -> GroupWord:
+    """Flatten e to a reduced word, replacing the leaves whose names
+    are mapped by their image words; the others stand for themselves."""
     if isinstance(e, Leaf):
         if e.gen in mapping:
             return mapping[e.gen]
-        if require_total:
-            raise UnmappedGeneratorError(f"no image for generator {e.gen.name!r}")
         return GroupWord.generator(e.gen)
     if isinstance(e, Inverse):
-        return substitute(e.base, mapping, require_total).inverse()
+        return substitute(e.base, mapping).inverse()
     if isinstance(e, Product):
         # a parsed power repeats one factor object n times: flatten it once
         flat: dict = {}
         for f in e.factors:
             if id(f) not in flat:
-                flat[id(f)] = substitute(f, mapping, require_total).letters
+                flat[id(f)] = substitute(f, mapping).letters
         parts = [flat[id(f)] for f in e.factors]
         _check_length(sum(map(len, parts)))
         return GroupWord(tuple(chain.from_iterable(parts)))
     if isinstance(e, Commutator):
-        x = substitute(e.left, mapping, require_total)
-        y = substitute(e.right, mapping, require_total)
+        x = substitute(e.left, mapping)
+        y = substitute(e.right, mapping)
         _check_length(2 * (len(x) + len(y)))
         return commutator(x, y)
     if isinstance(e, Conjugate):
-        x = substitute(e.base, mapping, require_total)
-        by = substitute(e.by, mapping, require_total)
+        x = substitute(e.base, mapping)
+        by = substitute(e.by, mapping)
         _check_length(len(x) + 2 * len(by))
         return x.conjugate(by)
     raise TypeError(f"not a CommExpr: {e!r}")

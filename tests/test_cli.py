@@ -78,6 +78,14 @@ def test_magnus_indexes_by_trailing_decimal(capsys):
     assert (code, out.splitlines()[0]) == (0, "1 + x1 + x3 + x1x3")
 
 
+def test_name_with_a_very_long_number_exits_2(capsys):
+    name = "x" + "9" * 5000
+    code, out, err = run(capsys, "magnus", name, "--vars", name)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: generator '{name}' ends in a number of 5000 digits")
+    assert "set_int_max_str_digits" not in err and len(err.splitlines()) == 1
+
+
 def test_superscript_exponent_exits_2(capsys):
     code, _, err = run(capsys, "reduce", "x^²")
     assert code == 2
@@ -160,6 +168,17 @@ def test_system_search_empty_subsystem_exits_2(capsys, subsystem):
     code, out, err = run(capsys, "system", "search", "--bound", "2", "--subsystem", subsystem)
     assert code == 2 and out == ""
     assert err == f"error: --subsystem {subsystem!r} names no row labels\n"
+
+
+@pytest.mark.parametrize(
+    "label", ["1_5", "٣", "-1", "+3", "2.0", "9" * 5000],
+    ids=["underscore", "arabic-indic", "minus", "plus", "point", "5000-digits"],
+)
+def test_system_search_label_must_be_ascii_digits(capsys, label):
+    # int() would read 1_5 as 15 and ٣ as 3
+    code, out, err = run(capsys, "system", "search", "--bound", "1", "--subsystem", f"2,{label}")
+    assert code == 2 and out == ""
+    assert err == f"error: --subsystem label {label!r} is not a row number\n"
 
 
 def test_system_search_too_many_solutions_exits_2(capsys):

@@ -185,7 +185,8 @@ def test_magnus_expansion_matches_sympy_on_random_words():
             u, v = letters[:half], letters[half:]
             inv = lambda w: [(g, -s) for g, s in reversed(w)]  # noqa: E731
             letters = inv(u) + inv(v) + u + v
-        want = sympy_magnus([(g.index + 1, s) for g, s in letters])
+        position = {g: i + 1 for i, g in enumerate(gens)}
+        want = sympy_magnus([(position[g], s) for g, s in letters])
         got = expand(GroupWord(tuple(letters)), VariableSet.from_generators(gens))
         assert got.terms == want
 

@@ -1,0 +1,80 @@
+"""The benchmark's tracer still sees the functions it measures.
+
+perfbench/trace_child.py wraps commcalc's public functions by name and
+records counters from their arguments and results (the `w` and `vars`
+of `magnus.expand`, the `terms` of its result, the length of the word
+`words.substitute` returns); perfbench/layers.py turns the spans into
+metrics.  A rename or a deletion in commcalc would silently empty a
+metric, so each command here runs under the tracer in a fresh process
+and its deterministic counters are held to known values.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _layers() -> dict:
+    """perfbench/layers.py as a namespace, read without importing it
+    (importing would write a bytecode cache under perfbench/)."""
+    path = PERFBENCH / "layers.py"
+    namespace: dict = {"__name__": "layers"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace
+
+
+LAYERS = _layers()
+
+#: (command, the counters its traced run gives; every other count is 0)
+CASES = [
+    (["magnus", "[[m1,m2],m3]*m4^3*[m1,m4]^-2", "--vars", "m1,m2,m3,m4", "--json"],
+     {"magnus.expand_calls": 1, "magnus.letters_in": 19, "magnus.terms_out": 12,
+      "words.letters_out": 19}),
+    (["reduce", "[x,y]^3*x^-2*(y*é2)^2", "--json"], {"words.letters_out": 18}),
+    (["lie", "to-basis", "[m2,[[m3,m4],[m5,m6]]]", "--json"], {"lie.to_basis_calls": 1}),
+    (["verify", "hopf", "--json"],
+     {"hopf.candidates": 152, "magnus.expand_calls": 154, "magnus.letters_in": 3880,
+      "magnus.terms_out": 882, "words.letters_out": 3853}),
+    (["verify", "families", "--json"],
+     {"obstruction.evaluate_calls": 508, "obstruction.grid_points": 507,
+      "obstruction.system_calls": 4}),
+    (["system", "search", "--bound", "3", "--json"], {"obstruction.system_calls": 1}),
+    (["system", "search", "--bound", "20", "--subsystem", "2,3", "--json"],
+     {"obstruction.solutions": 160, "obstruction.system_calls": 1}),
+]
+
+
+def traced_counts(argv: list) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    with tempfile.TemporaryFile() as spans_file:
+        fd = spans_file.fileno()
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "trace_child.py"), str(fd), *argv],
+            pass_fds=(fd,), env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        json.loads(proc.stdout)
+        spans_file.seek(0)
+        spans = json.load(spans_file)
+    metrics = LAYERS["command_metrics"](spans, 0.0)
+    names = {*LAYERS["CALLS"], *LAYERS["COUNTS"]}
+    return {k: v for k, v in metrics.items() if k in names and v}
+
+
+@pytest.mark.parametrize(
+    "argv, counts", CASES,
+    ids=["magnus", "reduce", "lie", "hopf", "families", "search", "subsystem"],
+)
+def test_tracer_counts(argv, counts):
+    assert traced_counts(argv) == counts

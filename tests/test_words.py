@@ -5,6 +5,12 @@ import time
 
 import pytest
 
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # the `test` extra is not installed
+    hypothesis = None
+
 from commcalc import words
 from commcalc.words import (
     MAX_NESTING,
@@ -18,7 +24,6 @@ from commcalc.words import (
     ParseError,
     Product,
     UnknownGeneratorError,
-    UnmappedGeneratorError,
     WordError,
     commutator,
     expr_to_word,
@@ -113,6 +118,11 @@ def test_one_name_rule():
     assert words.trailing_index("a٣") == 3
     assert words.trailing_index("x²") is None
     assert words.trailing_index("x") is None
+    # a number as long as int() reads keeps its value; a longer one is a
+    # WordError, not int()'s own ValueError
+    assert words.trailing_index("x" + "0" * 4299 + "7") == 7
+    with pytest.raises(WordError, match="generator 'x9999.* too long to index"):
+        words.trailing_index("x" + "9" * 5000)
 
 
 def test_superscript_exponent_is_a_parse_error():
@@ -227,34 +237,72 @@ def test_free_reduce_idempotent_and_shortening():
         assert GroupWord(w.letters) == w
 
 
+def _drawn_expr(choice, randint, names, depth):
+    """An expression tree over names, drawn with choice(seq) and
+    randint(lo, hi); powers are parsed, as x^n and (...)^-n."""
+    if depth == 0 or randint(0, 9) < 3:
+        return Leaf(choice(names))
+    kind = randint(0, 4)
+
+    def sub():
+        return _drawn_expr(choice, randint, names, depth - 1)
+
+    if kind == 0:
+        return Inverse(sub())
+    if kind == 1:
+        return Product(tuple(sub() for _ in range(randint(2, 3))))
+    if kind == 2:
+        return Commutator(sub(), sub())
+    if kind == 3:
+        return Conjugate(sub(), sub())
+    base = sub()
+    text = base.gen if isinstance(base, Leaf) else f"({print_expr(base)})"
+    n = choice([-1, 1]) * randint(1, 4)
+    return parse_expr(f"{text}^{n}", Alphabet(names))
+
+
 def test_inverse_respected_by_flattening():
     rng = random.Random(11)
     for _ in range(200):
-        e = _random_expr(rng, depth=3)
+        e = _drawn_expr(rng.choice, rng.randint, ABC.generators, depth=3)
         assert expr_to_word(Inverse(e)) == expr_to_word(e).inverse()
 
 
-def _random_expr(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return Leaf(rng.choice(ABC.generators))
-    kind = rng.randrange(4)
-    if kind == 0:
-        return Inverse(_random_expr(rng, depth - 1))
-    if kind == 1:
-        return Product(tuple(_random_expr(rng, depth - 1) for _ in range(rng.randrange(2, 4))))
-    if kind == 2:
-        return Commutator(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
-    return Conjugate(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+#: Pieces of generator names under the one name rule: a letter, then
+#: letters or digits ("²" is a digit, "٣" a decimal).
+_NAME_FIRST = ["x", "y", "m", "é", "a", "ü"]
+_NAME_REST = ["x", "é", "1", "2", "7", "٣", "²"]
 
 
-def test_parse_print_round_trip_random():
-    rng = random.Random(123)
-    for _ in range(400):
-        e = _random_expr(rng, depth=4)
-        text = print_expr(e)
-        reparsed = parse_expr(text, ABC)
-        assert reparsed == e
-        assert parse_expr(print_expr(reparsed), ABC) == reparsed
+def check_round_trip(choice, randint):
+    names = list(dict.fromkeys(
+        choice(_NAME_FIRST) + "".join(choice(_NAME_REST) for _ in range(randint(0, 2)))
+        for _ in range(randint(1, 4))
+    ))
+    alphabet = Alphabet(names)
+    e = _drawn_expr(choice, randint, names, depth=4)
+    text = print_expr(e)
+    reparsed = parse_expr(text, alphabet)
+    assert reparsed == e, text
+    assert print_expr(reparsed) == text
+
+
+if hypothesis is None:
+
+    def test_parse_print_round_trip_random():
+        rng = random.Random(123)
+        for _ in range(400):
+            check_round_trip(rng.choice, rng.randint)
+
+else:
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.data())
+    def test_parse_print_round_trip_random(data):
+        check_round_trip(
+            lambda seq: data.draw(st.sampled_from(seq)),
+            lambda lo, hi: data.draw(st.integers(lo, hi)),
+        )
 
 
 def test_parse_print_parse_is_parse_even_for_singleton_products():
@@ -275,20 +323,14 @@ def test_substitution_identity_map_is_flattening():
 def test_substitution_collapse():
     e = parse_expr("[x,y]", ABC)
     assert substitute(e, {ABC["y"]: X}).is_identity()
+    # unmapped leaves stand for themselves
+    assert substitute(e, {ABC["x"]: X}) == commutator(X, Y)
 
 
 def test_substitution_inverts_for_negative_signs():
     e = parse_expr("y^-1", ABC)
     image = X * Z
     assert substitute(e, {ABC["y"]: image}) == image.inverse()
-
-
-def test_total_substitution_requires_every_generator():
-    e = parse_expr("[x,y]", ABC)
-    with pytest.raises(UnmappedGeneratorError):
-        substitute(e, {ABC["x"]: Y}, require_total=True)
-    # partial substitution leaves unmapped leaves alone
-    assert substitute(e, {ABC["x"]: X}) == commutator(X, Y)
 
 
 def _random_runs(rng, gens, max_runs=8) -> GroupWord:
