@@ -305,15 +305,23 @@ def parse_scalar(text: str) -> obstruction.QSqrt3:
     m = _VALUE_RE.fullmatch(text)
     if not m or (m.group("a") is None and m.group("root") is None):
         raise ValueError(f"cannot parse scalar {text!r}")
-    if re.search(r"/0+(?!\d)", text):
-        raise ValueError(f"zero denominator in scalar {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
+    a = _fraction(text, m.group("a")) if m.group("a") else Fraction(0)
     b = Fraction(0)
     if m.group("root"):
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+        b = _fraction(text, m.group("b")) if m.group("b") else Fraction(1)
         if m.group("sign") == "-":
             b = -b
     return obstruction.QSqrt3(a, b)
+
+
+def _fraction(text: str, part: str) -> Fraction:
+    """The Fraction of a matched 'p' or 'p/q' of text.  Its digits may
+    be any script's decimals, so a zero denominator is one whose every
+    digit is zero."""
+    den = part.partition("/")[2]
+    if den and not any(map(int, den)):
+        raise ValueError(f"zero denominator in scalar {text!r}")
+    return Fraction(part)
 
 
 def parse_assignment_file(path: str) -> dict:

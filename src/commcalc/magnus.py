@@ -18,24 +18,23 @@ against lives with the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
-from .words import GroupWord, UnmappedGeneratorError, trailing_index
+from .words import GroupWord, UnmappedGeneratorError, _Value, trailing_index
 
 
-@dataclass(frozen=True)
-class VariableSet:
+class VariableSet(_Value):
     """Generator names and the distinct variable indices they map to."""
 
-    mapping: dict  # name -> int
+    __slots__ = ("mapping",)  # name -> int
 
-    def __post_init__(self):
-        idx = list(self.mapping.values())
+    def __init__(self, mapping: dict):
+        idx = list(mapping.values())
         if len(set(idx)) != len(idx):
             raise ValueError(f"variable indices must be distinct: {idx}")
+        object.__setattr__(self, "mapping", mapping)
 
     @staticmethod
     def from_generators(names: Iterable[str]) -> "VariableSet":
@@ -105,6 +104,13 @@ class MagnusPoly:
         return f"MagnusPoly({self.render()})"
 
 
+#: Most terms an expansion may hold after any run.  A word over n
+#: generators can reach every monomial of the ring (109 601 at n = 8),
+#: and a product of n distinct generators reaches 2^n, so a longer
+#: input is refused before its next run can double the count again.
+MAX_TERMS = 200_000
+
+
 def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
     """Magnus expansion of a word: the product of its letters'
     expansions, left to right, one run of a generator at a time.
@@ -113,9 +119,11 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
     term c x_k whose k lacks i.  The terms are kept grouped by the set
     of indices they contain (a bitmask), so the sources are whole
     groups without i's bit, and the targets land in groups with it:
-    no source changes while a run is multiplied in."""
+    no source changes while a run is multiplied in.  More than
+    MAX_TERMS live terms after a run is a ValueError."""
     bit = {i: 1 << p for p, i in enumerate(vars.indices)}
     by_support = {0: {(): 1}}
+    live = 1
     for g, run in groupby(w.letters, key=itemgetter(0)):
         i = vars.index_of(g)
         b = bit[i]
@@ -124,6 +132,7 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
             if support & b:
                 continue
             targets = by_support.setdefault(support | b, {})
+            before = len(targets)
             for k, c in sources.items():
                 t = k + (i,)
                 c = targets.get(t, 0) + e * c
@@ -131,6 +140,12 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
                     targets[t] = c
                 else:
                     del targets[t]
+            live += len(targets) - before
+        if live > MAX_TERMS:
+            raise ValueError(
+                f"Magnus expansion exceeds the limit of {MAX_TERMS} terms "
+                f"over {len(vars)} variables"
+            )
     terms: dict = {}
     for group in by_support.values():
         terms.update(group)

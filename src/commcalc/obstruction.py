@@ -31,9 +31,10 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .words import _Value
 
 VARIABLES: tuple[str, ...] = (
     "a3", "a4", "a5", "a6", "b1", "b2", "b5", "b6", "c1", "c2", "c3", "c4",
@@ -185,13 +186,15 @@ SQRT3 = QSqrt3(0, 1)
 # the system, from its two sources
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(_Value):
     """label, sparse polynomial {sorted variable tuple: coefficient}, target."""
 
-    label: int
-    terms: tuple  # ((coeff, (var, ...)), ...)
-    target: int
+    __slots__ = ("label", "terms", "target")  # terms: ((coeff, (var, ...)), ...)
+
+    def __init__(self, label: int, terms: tuple, target: int):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "target", target)
 
     def residual(self, assignment: dict) -> QSqrt3:
         """Value minus target at an assignment of QSqrt3 values."""

@@ -26,7 +26,6 @@ nested brackets already give two million letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping
 
@@ -51,6 +50,37 @@ class ParseError(WordError):
         if expected:
             detail += f" (expected {expected})"
         super().__init__(detail)
+
+
+class _Value:
+    """Base of commcalc's immutable values.  A subclass names its fields
+    in __slots__ and sets them once in __init__ through
+    object.__setattr__; equality is by type and fields, the hash
+    matches it, the repr reads `Leaf(gen='x')`, and assigning or
+    deleting an attribute raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Alphabet:
@@ -154,8 +184,7 @@ def _reduced(letters: tuple) -> "GroupWord":
     return w
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(_Value):
     """An element of the free group in normal form.
 
     letters is a tuple of (name, sign) pairs with sign in {+1,-1};
@@ -163,10 +192,10 @@ class GroupWord:
     Immutable: all operations return new words.
     """
 
-    letters: tuple = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", _reduce_letters(self.letters))
+    def __init__(self, letters: tuple = ()):
+        object.__setattr__(self, "letters", _reduce_letters(letters))
 
     @staticmethod
     def generator(g: str, sign: int = 1) -> "GroupWord":
@@ -218,40 +247,47 @@ def commutator(x: GroupWord, y: GroupWord) -> GroupWord:
 # commutator expressions
 
 
-@dataclass(frozen=True)
-class CommExpr:
-    pass
+class CommExpr(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Leaf(CommExpr):
-    gen: str
+    __slots__ = ("gen",)
+
+    def __init__(self, gen: str):
+        object.__setattr__(self, "gen", gen)
 
 
-@dataclass(frozen=True)
 class Inverse(CommExpr):
-    base: CommExpr
+    __slots__ = ("base",)
+
+    def __init__(self, base: CommExpr):
+        object.__setattr__(self, "base", base)
 
 
-@dataclass(frozen=True)
 class Product(CommExpr):
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple):
+        if not factors:
             raise WordError("products must be non-empty")
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
 class Commutator(CommExpr):
-    left: CommExpr
-    right: CommExpr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: CommExpr, right: CommExpr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Conjugate(CommExpr):
-    base: CommExpr
-    by: CommExpr
+    __slots__ = ("base", "by")
+
+    def __init__(self, base: CommExpr, by: CommExpr):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "by", by)
 
 
 # --- parsing ---------------------------------------------------------------

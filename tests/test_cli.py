@@ -3,16 +3,19 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from search_reference import reference_search
 
-from commcalc import lie
+from commcalc import lie, magnus
 from commcalc.cli import main, parse_scalar, validate_report
-from commcalc.obstruction import QSqrt3
+from commcalc.obstruction import VARIABLES, QSqrt3, family_assignment
 from fractions import Fraction
 
 try:
@@ -84,6 +87,15 @@ def test_name_with_a_very_long_number_exits_2(capsys):
     assert code == 2 and out == ""
     assert err.startswith(f"error: generator '{name}' ends in a number of 5000 digits")
     assert "set_int_max_str_digits" not in err and len(err.splitlines()) == 1
+
+
+def test_magnus_term_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(magnus, "MAX_TERMS", 8)
+    code, out, _ = run(capsys, "magnus", "m1*m2*m3", "--vars", "m1,m2,m3,m4")
+    assert (code, out.splitlines()[0]) == (0, "1 + x1 + x2 + x3 + x1x2 + x1x3 + x2x3 + x1x2x3")
+    code, out, err = run(capsys, "magnus", "m1*m2*m3*m4", "--vars", "m1,m2,m3,m4", "--json")
+    assert (code, out) == (2, "")
+    assert err == "error: Magnus expansion exceeds the limit of 8 terms over 4 variables\n"
 
 
 def test_superscript_exponent_exits_2(capsys):
@@ -229,7 +241,10 @@ def test_system_eval_bracket_naming(tmp_path, capsys):
     assert code == 0 and report["payload"]["satisfied"]
 
 
-@pytest.mark.parametrize("value", ["1/0", "1 + 1/0 sqrt3", "-1/00", "2 - 3/0 * sqrt3"])
+# "٠" is ARABIC-INDIC DIGIT ZERO, which Fraction reads as a zero
+@pytest.mark.parametrize(
+    "value", ["1/0", "1 + 1/0 sqrt3", "-1/00", "2 - 3/0 * sqrt3", "1/٠", "٣/0٠ sqrt3"]
+)
 def test_system_eval_zero_denominator_exits_2(tmp_path, capsys, value):
     path = tmp_path / "assign.txt"
     path.write_text(SAMPLE_FILE.replace("a3 = -1", f"a3 = {value}"))
@@ -394,6 +409,23 @@ def test_validate_report_catches_defects():
     assert validate_report([1, 2]) != []
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up in every process and commcalc uses neither
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+         *filter(None, [env.get("PYTHONPATH")])]
+    )
+    probe = ("import sys; before = set(sys.modules); import commcalc.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "commcalc.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_version_and_help(capsys):
     assert run(capsys, "--version")[0] == 0
     assert run(capsys, "--help")[0] == 0
@@ -458,5 +490,98 @@ else:
         )
         def check(pieces, names):
             check_exit_contract(_fuzz_argv(command, pieces, names))
+
+        check()
+
+
+# --- exit-code contract on assignment files --------------------------------
+
+#: Names an assignment line may give besides the twelve variables:
+#: unknown and malformed ones.
+_UNKNOWN = ["a1", "b3", "c5", "a7", "x", "A3", "a[7]", "a[3", "a3]", "a 3", "a٣", "", "a3 b1"]
+#: Values that are not a printed scalar, or that stress one.
+_HOSTILE_VALUES = [
+    "1/0", "-1/00", "1 + 1/0 sqrt3", "2 - 3/0 * sqrt3", "1/٠", "0/0", "٣/٤", "",
+    "9" * 5000, "1" * 4000 + "/3", "7" * 1500, "1/" + "3" * 1200, "1 2 sqrt3",
+    "sqrt 3", "1e5", "0.5", "--1", "1/2/3", "sqrt3 + 1", "2 ** sqrt3", "= 1", "a3",
+]
+_QUIET_LINES = ["", "   ", "\t", "# a comment", "  # a3 = 1/0"]
+_MALFORMED_LINES = ["a3", "=", "= 1", "a3 == 1", "a3 = 1 = 2"]
+
+
+def _drawn_fraction(randint, nonzero=False) -> Fraction:
+    num = randint(1, 30) * (-1) ** randint(0, 1) if nonzero else randint(-30, 30)
+    return Fraction(num, randint(1, 12))
+
+
+def _drawn_scalar(choice, randint) -> str:
+    """Every form str(QSqrt3) prints: p, p/q, [-]sqrt3, r*sqrt3,
+    r/s*sqrt3 and a rational part with a sign and a root part."""
+    a = _drawn_fraction(randint) if randint(0, 2) else 0
+    return str(QSqrt3(a, choice([0, 1, -1, _drawn_fraction(randint)])))
+
+
+def _drawn_assignment_file(choice, randint) -> str:
+    """An assignment file: the twelve variables in some order, named
+    plainly or bracketed, at a point of a solution family or at drawn
+    scalars, with comments and blank lines.  One file in three is
+    hostile: now and then a value is hostile or a variable missing,
+    and unknown names, repeated names and malformed lines go in."""
+    hostile = randint(0, 2) == 0
+    if randint(0, 1):
+        b1, b5 = _drawn_fraction(randint, True), _drawn_fraction(randint, True)
+        values = {v: str(x) for v, x in family_assignment(randint(1, 3), b1, b5).items()}
+    else:
+        values = {v: _drawn_scalar(choice, randint) for v in VARIABLES}
+    variables = list(VARIABLES)
+    lines = []
+    while variables:
+        v = variables.pop(randint(0, len(variables) - 1))
+        if hostile and randint(0, 11) == 0:
+            continue
+        name = choice([v, f"{v[0]}[{v[1:]}]"])
+        value = choice(_HOSTILE_VALUES) if hostile and randint(0, 5) == 0 else values[v]
+        comment = choice(["", "", " # note", "#a3 = 1"])
+        layout = choice(["{} = {}{}", "{}={}{}", "  {}  =  {}  {}"])
+        lines.append(layout.format(name, value, comment))
+    for _ in range(randint(0, 3)):
+        kind = randint(0, 3) if hostile else 3
+        if kind == 0:
+            line = f"{choice(_UNKNOWN)} = {_drawn_scalar(choice, randint)}"
+        elif kind == 1:
+            v = choice(VARIABLES)
+            line = f"{choice([v, f'{v[0]}[{v[1:]}]'])} = {_drawn_scalar(choice, randint)}"
+        elif kind == 2:
+            line = choice(_MALFORMED_LINES)
+        else:
+            line = choice(_QUIET_LINES)
+        lines.insert(randint(0, len(lines)), line)
+    return "\n".join(lines) + choice(["", "\n"])
+
+
+def check_assignment_file(path, text, as_json):
+    path.write_text(text, encoding="utf-8")
+    check_exit_contract(["system", "eval", "--assign", str(path), *(["--json"] * as_json)])
+
+
+if hypothesis is None:
+
+    def test_system_eval_exit_contract_on_drawn_files(tmp_path):
+        rng = random.Random("assignment-files")
+        for _ in range(200):
+            text = _drawn_assignment_file(rng.choice, rng.randint)
+            check_assignment_file(tmp_path / "assign.txt", text, rng.random() < 0.5)
+
+else:
+
+    def test_system_eval_exit_contract_on_drawn_files(tmp_path):
+        @hypothesis.settings(max_examples=100, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(st.data(), st.booleans())
+        def check(data, as_json):
+            text = _drawn_assignment_file(
+                lambda seq: data.draw(st.sampled_from(seq)),
+                lambda lo, hi: data.draw(st.integers(lo, hi)),
+            )
+            check_assignment_file(tmp_path / "assign.txt", text, as_json)
 
         check()

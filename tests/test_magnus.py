@@ -6,6 +6,7 @@ import time
 import pytest
 from magnus_reference import degree_part, letter_by_letter, product
 
+from commcalc import magnus
 from commcalc.magnus import (
     MagnusPoly,
     VariableSet,
@@ -196,3 +197,24 @@ def test_long_word_over_six_generators_within_budget():
     assert degree_part(p, 1) == {
         (vars_.index_of(g),): sum(s for h, s in w.letters if h == g) for g in gens
     }
+
+
+def test_term_limit_admits_the_full_ring_at_eight_generators():
+    # (m1 ... m8)^8 holds every ordered tuple of distinct indices as a
+    # subsequence, so its expansion has all 109 601 monomials
+    names = [f"m{i}" for i in range(1, 9)]
+    w = GroupWord(tuple((g, 1) for g in names) * 8)
+    assert len(expand(w, VariableSet.from_generators(names)).terms) == 109_601 <= magnus.MAX_TERMS
+
+
+def test_term_limit_refuses_the_run_that_passes_it(monkeypatch):
+    monkeypatch.setattr(magnus, "MAX_TERMS", 8)
+    names = ["m1", "m2", "m3", "m4"]
+    vars_ = VariableSet.from_generators(names)
+    # m1 m2 m3 reaches exactly 8 terms; the limit is on the count, not the letters
+    assert len(expand(GroupWord((("m1", 1), ("m2", 1), ("m3", 1))), vars_).terms) == 8
+    assert expand(GroupWord((("m1", 1),) * 50 + (("m2", -1),) * 50), vars_).terms == {
+        (): 1, (1,): 50, (2,): -50, (1, 2): -2500,
+    }
+    with pytest.raises(ValueError, match="exceeds the limit of 8 terms over 4 variables"):
+        expand(GroupWord(tuple((g, 1) for g in names)), vars_)

@@ -12,6 +12,8 @@ except ImportError:  # the `test` extra is not installed
     hypothesis = None
 
 from commcalc import words
+from commcalc.magnus import VariableSet
+from commcalc.obstruction import Equation
 from commcalc.words import (
     MAX_NESTING,
     MAX_WORD_LENGTH,
@@ -303,6 +305,70 @@ else:
             lambda seq: data.draw(st.sampled_from(seq)),
             lambda lo, hi: data.draw(st.integers(lo, hi)),
         )
+
+
+# --- the immutable value classes -------------------------------------------
+
+_X, _Y = Leaf("x"), Leaf("y")
+
+#: one value of each class, the name of one of its fields, and its repr
+VALUES = [
+    (GroupWord((("x", 1), ("y", -1))), "letters", "GroupWord(letters=(('x', 1), ('y', -1)))"),
+    (_X, "gen", "Leaf(gen='x')"),
+    (Inverse(_X), "base", "Inverse(base=Leaf(gen='x'))"),
+    (Product((_X, _Y)), "factors", "Product(factors=(Leaf(gen='x'), Leaf(gen='y')))"),
+    (Commutator(_X, _Y), "right", "Commutator(left=Leaf(gen='x'), right=Leaf(gen='y'))"),
+    (Conjugate(_X, _Y), "by", "Conjugate(base=Leaf(gen='x'), by=Leaf(gen='y'))"),
+    (VariableSet({"m2": 2, "m3": 3}), "mapping", "VariableSet(mapping={'m2': 2, 'm3': 3})"),
+    (Equation(12, ((1, ("a5", "c2")), (1, ("a6", "c1"))), 1), "target",
+     "Equation(label=12, terms=((1, ('a5', 'c2')), (1, ('a6', 'c1'))), target=1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, field, text", VALUES, ids=[type(v).__name__ for v, _, _ in VALUES]
+)
+def test_value_is_immutable_and_keeps_its_repr(value, field, text):
+    assert repr(value) == text
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) is before
+
+
+def test_values_equal_by_type_and_fields():
+    assert Commutator(_X, _Y) != Conjugate(_X, _Y)
+    assert Inverse(_X) != Leaf("x") and Leaf("x") != "x"
+    assert Commutator(_X, _Y) != Commutator(_Y, _X)
+    pairs = [
+        (Leaf("x"), _X),
+        (Product((Leaf("x"), Inverse(Leaf("y")))), Product((_X, Inverse(_Y)))),
+        (Conjugate(Commutator(_X, _Y), _X), Conjugate(Commutator(Leaf("x"), Leaf("y")), _X)),
+        (GroupWord((("x", 1),)), X),
+        (Equation(2, (), 1), Equation(2, (), 1)),
+    ]
+    for a, b in pairs:
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+    assert len({Leaf("x"), _X, Leaf(gen="x"), _Y}) == 2
+
+
+def test_value_constructors_check_and_normalise():
+    with pytest.raises(WordError, match="non-empty"):
+        Product(())
+    assert GroupWord((("x", 1), ("y", 1), ("y", -1), ("x", -1))).letters == ()
+    assert GroupWord(letters=(("x", 1), ("x", -1), ("z", 1))) == Z
+    assert GroupWord() == GroupWord(()) and GroupWord().letters == ()
+    with pytest.raises(ValueError, match="distinct"):
+        VariableSet({"a": 1, "b": 1})
+    vs = VariableSet(mapping={"m2": 2})
+    assert vs.mapping == {"m2": 2} and vs.index_of("m2") == 2
+    eq = Equation(label=4, terms=((1, ("a4", "b1")),), target=1)
+    assert (eq.label, eq.terms, eq.target) == (4, ((1, ("a4", "b1")),), 1)
 
 
 def test_parse_print_parse_is_parse_even_for_singleton_products():
