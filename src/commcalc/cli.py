@@ -15,7 +15,6 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__, hopf, lie, magnus, obstruction, words
 
@@ -162,16 +161,18 @@ def _hopf_payload() -> dict:
     return payload
 
 
+#: Family 1 at b1 = b5 = 1, in the scalar syntax of `system eval`.
 FAMILY1_SAMPLE_POINT = {
-    "a3": Fraction(-1), "a4": Fraction(-1), "a5": Fraction(-2), "a6": Fraction(-2),
-    "b1": Fraction(1), "b2": Fraction(2), "b5": Fraction(1), "b6": Fraction(-3),
-    "c1": Fraction(0), "c2": Fraction(-1, 2), "c3": Fraction(-1, 4), "c4": Fraction(-1, 4),
+    "a3": "-1", "a4": "-1", "a5": "-2", "a6": "-2",
+    "b1": "1", "b2": "2", "b5": "1", "b6": "-3",
+    "c1": "0", "c2": "-1/2", "c3": "-1/4", "c4": "-1/4",
 }
 
 
 def _families_payload() -> dict:
     reports = {str(k): obstruction.verify_family(k) for k in (1, 2, 3)}
-    sample = obstruction.evaluate(obstruction.obstruction_system(), FAMILY1_SAMPLE_POINT)
+    point = {v: parse_scalar(x) for v, x in FAMILY1_SAMPLE_POINT.items()}
+    sample = obstruction.evaluate(obstruction.obstruction_system(), point)
     sample_zero = all(v.is_zero() for v in sample.values())
     return {
         "grid_size": 13,
@@ -301,24 +302,30 @@ _VALUE_RE = re.compile(
 
 def parse_scalar(text: str) -> obstruction.QSqrt3:
     """Parse 'p/q', 'p/q + r/s sqrt3', '-sqrt3', '12*sqrt3', etc.: every
-    form str(QSqrt3) prints."""
+    form str(QSqrt3) prints.  A number of more than
+    obstruction.MAX_SCALAR_DIGITS digits is refused."""
     m = _VALUE_RE.fullmatch(text)
     if not m or (m.group("a") is None and m.group("root") is None):
         raise ValueError(f"cannot parse scalar {text!r}")
-    a = _fraction(text, m.group("a")) if m.group("a") else Fraction(0)
-    b = Fraction(0)
+    a = _fraction(text, m.group("a")) if m.group("a") else 0
+    b = 0
     if m.group("root"):
-        b = _fraction(text, m.group("b")) if m.group("b") else Fraction(1)
+        b = _fraction(text, m.group("b")) if m.group("b") else 1
         if m.group("sign") == "-":
             b = -b
     return obstruction.QSqrt3(a, b)
 
 
-def _fraction(text: str, part: str) -> Fraction:
+def _fraction(text: str, part: str):
     """The Fraction of a matched 'p' or 'p/q' of text.  Its digits may
     be any script's decimals, so a zero denominator is one whose every
     digit is zero."""
-    den = part.partition("/")[2]
+    from fractions import Fraction  # here, so that commands reading no scalar never load it
+
+    num, _, den = part.partition("/")
+    limit = obstruction.MAX_SCALAR_DIGITS
+    if len(num.lstrip("+-")) > limit or len(den) > limit:
+        raise ValueError(f"scalar with a number of more than {limit} digits")
     if den and not any(map(int, den)):
         raise ValueError(f"zero denominator in scalar {text!r}")
     return Fraction(part)
@@ -433,7 +440,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (words.WordError, obstruction.PoleError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a WordError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # evaluated only for errors the clause above lets through, so that
+    # an input error loads no layer
+    except obstruction.PoleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

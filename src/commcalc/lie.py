@@ -25,9 +25,8 @@ int, a bracket is a pair (left, right).  Example, right-normed:
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
+from collections.abc import Iterable, Sequence
 from itertools import permutations
-from typing import Iterable, Sequence
 
 CommTree = int | tuple
 TensorVec = dict  # permutation tuple -> integer coefficient
@@ -128,9 +127,12 @@ class RationalMatrix:
     def rank(self) -> int:
         return _eliminate([r[:] for r in self.rows], self.shape[1])
 
-    def left_kernel(self) -> list[list[Fraction]]:
+    def left_kernel(self) -> list[list]:
         """Basis of {v : v @ M = 0}: the dependencies among the rows.
-        Each basis vector is scaled so its first nonzero entry is 1."""
+        Each basis vector is a list of Fractions scaled so its first
+        nonzero entry is 1."""
+        from fractions import Fraction  # the one place the Lie layer leaves the integers
+
         n, m = self.shape
         aug = [self.rows[i] + [int(j == i) for j in range(n)] for i in range(n)]
         rank = _eliminate(aug, m)

@@ -18,9 +18,9 @@ against lives with the tests.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterable
 
 from .words import GroupWord, UnmappedGeneratorError, _Value, trailing_index
 

@@ -31,8 +31,8 @@ import functools
 import itertools
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .words import _Value
 
@@ -226,6 +226,32 @@ _TABLE: tuple = (
     (14, ((1, ("a6", "b2", "c3")), (-1, ("c1", "a4", "b5"))), 1),
     (15, ((1, ("a6", "c2")), (1, ("c1", "a5"))), 1),
 )
+
+
+def _scalar_digit_bound(rows: tuple) -> int:
+    """Most digits a number of an assignment scalar may have so that no
+    residual of the rows has an int of more than 4300 digits, the most
+    Python prints by default.
+
+    A scalar p/q + r/s sqrt3 whose numbers have at most D digits is a
+    QSqrt3 whose three ints are below M = 10^(2D).  A product's ints
+    are below 4 times the product of its factors' bounds (its rational
+    part is a1*a2 + 3*b1*b2), so a monomial of degree k and coefficient
+    c has ints below |c| * 4^(k-1) * M^k.  Over a common denominator,
+    t such monomials minus the target T have ints below
+    (t * |c| * 4^(k-1) + |T|) * M^(kt), and lowest terms only shrink
+    them.
+    """
+    k = max(len(mono) for _, terms, _ in rows for _, mono in terms)
+    t = max(len(terms) for _, terms, _ in rows)
+    c = max(abs(coeff) for _, terms, _ in rows for coeff, _ in terms)
+    target = max(abs(target) for _, _, target in rows)
+    return (4300 - len(str(t * c * 4 ** (k - 1) + target))) // (2 * k * t)
+
+
+#: 358: the rows have degree 3, two terms, coefficients +-1 and target 1.
+MAX_SCALAR_DIGITS = _scalar_digit_bound(_TABLE)
+
 
 # Solver-input source, verbatim (one line per equation, rows (2)-(15)).
 # Line 8 -- row (9) -- ends in the transcribed "== 1 == 1".

@@ -26,8 +26,8 @@ nested brackets already give two million letters.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from itertools import chain
-from typing import Iterable, Mapping
 
 
 class WordError(ValueError):

@@ -13,7 +13,7 @@ import sys
 import pytest
 from search_reference import reference_search
 
-from commcalc import lie, magnus
+from commcalc import lie, magnus, obstruction
 from commcalc.cli import main, parse_scalar, validate_report
 from commcalc.obstruction import VARIABLES, QSqrt3, family_assignment
 from fractions import Fraction
@@ -267,6 +267,39 @@ def test_system_eval_variable_given_twice_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "system", "eval", "--assign", str(path))
     assert code == 2 and out == ""
     assert err == f"error: {path}:14: variable 'a3' given twice (first on line 2)\n"
+
+
+def _scalar_of_digits(rng, digits: int) -> str:
+    def number():
+        return str(rng.randrange(10 ** (digits - 1), 10**digits))
+
+    return f"-{number()}/{number()} - {number()}/{number()} sqrt3"
+
+
+def test_system_eval_prints_residuals_of_scalars_at_the_digit_bound(tmp_path, capsys):
+    # every number at the bound: the residuals come within a few dozen
+    # digits of the 4300 Python prints, and all of them are printed
+    rng = random.Random(5)
+    limit = obstruction.MAX_SCALAR_DIGITS
+    assert limit == 358
+    path = tmp_path / "assign.txt"
+    path.write_text("".join(f"{v} = {_scalar_of_digits(rng, limit)}\n" for v in VARIABLES))
+    code, out, err = run(capsys, "system", "eval", "--assign", str(path))
+    assert (code, err) == (1, "")
+    assert len(out.splitlines()) == 16
+    assert 4000 < max(map(len, re.findall(r"\d+", out))) <= 4300
+
+
+@pytest.mark.parametrize("value", [
+    "1/" + "3" * 359, "-" + "9" * 359, "2 - " + "1" * 359 + "*sqrt3",
+    "1/2 + 1/" + "0" * 359 + "7 sqrt3", "7" * 1500, "4" * 4400, "1" * 4000 + "/3",
+])
+def test_system_eval_scalar_over_the_digit_bound_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "assign.txt"
+    path.write_text(SAMPLE_FILE.replace("b6 = -3", f"b6 = {value}"))
+    code, out, err = run(capsys, "system", "eval", "--assign", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:9: scalar with a number of more than 358 digits\n"
 
 
 def test_usage_errors_exit_2(capsys):
