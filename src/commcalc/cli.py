@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -52,12 +53,19 @@ def validate_report(obj) -> list[str]:
 
 
 def _emit(report: dict, text_lines: list[str], as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-        print(f"verdict: {'pass' if report['passed'] else 'FAIL'}")
+    """Print the report and return its verdict code, also when the
+    reader of stdout has gone (as `| head -1` does)."""
+    try:
+        if as_json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+            print(f"verdict: {'pass' if report['passed'] else 'FAIL'}")
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report["passed"] else 1
 
 

@@ -8,9 +8,11 @@ printed shape, certified by exact evaluation on the fixed 13 x 13 grid
 Q(sqrt 3) are QSqrt3s, three integers (a + b*sqrt(3))/d in lowest
 terms, so the grid pass is integer arithmetic.  The search is
 factored: rows sharing no variable are searched apart and joined by
-product, each row's last variable is solved rather than enumerated,
-the variable order is planned from the rows, and a block whose rows
-read only its own variables is solved once and reused.
+product, the variable order is planned from the rows, the last
+variable a block's rows end at is solved rather than enumerated -- the
+last two together, by Cramer's rule, where two of its rows are jointly
+linear in them -- and a block whose rows read only its own variables
+is solved once and reused.
 
 The system lives in 12 variables a3,a4,a5,a6,b1,b2,b5,b6,c1,c2,c3,c4
 (the homological band-sum multiplicities; the missing a1,a2,b3,b4,c5,c6
@@ -475,18 +477,28 @@ def integer_search(
 ) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     """All integer solutions of the chosen rows with |v| <= bound.
 
-    The search is exact and factored in three ways:
+    The search is exact and factored in four ways:
 
     * Rows that share no variable, even through other rows, form
       independent components; each is searched on its own and the
       results are joined by Cartesian product.
     * Every row is multilinear, so it is linear in its last variable
-      x: a*x + r = target.  When that variable's turn comes, x is
+      y: a*y + r = target.  When that variable's turn comes, y is
       solved as (target - r) / a if that is an integer within the
       bound, and the branch is pruned otherwise; with a == 0 the branch
-      enumerates x when r == target and is pruned when not.  Only
-      variables that end no row are enumerated.  Every other row ending
-      at the same variable is checked the moment it is assigned.
+      enumerates y when r == target and is pruned when not.  Every
+      other row ending at the same variable is checked the moment it
+      is assigned.
+    * Where two rows end at y, and no monomial of the first two holds
+      both y and the variable x before it in the same block, as in
+      each coupled pair, those rows are a 2 x 2 linear system in
+      (x, y).  Under each head of the
+      variables before x it is solved exactly: divmod by the
+      determinant, pruned unless both quotients are exact and within
+      the bound.  A head with determinant 0 falls back to enumerating
+      x and solving y from the first row.  So only variables that end
+      no row, and are not solved with the next one, are enumerated: a
+      coupled pair alone takes (2B + 1)^2 heads, not (2B + 1)^3.
     * Variables are taken in an order planned from the rows (see
       _search_order), in blocks that end where rows end.  A block whose
       rows read only its own variables -- {(4),(7)} and {(12),(15)} in
@@ -568,12 +580,21 @@ def _search_order(rows: list) -> tuple[tuple[str, ...], list]:
     return tuple(order), plan
 
 
+def _split(terms, i) -> tuple[list, list]:
+    """(coefficient of depth i, the other terms) of terms linear in depth i."""
+    return ([(c, tuple(j for j in idxs if j != i)) for c, idxs in terms if i in idxs],
+            [(c, idxs) for c, idxs in terms if i not in idxs])
+
+
 def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     """Solutions of one connected component, over its variables in
-    _search_order.  A block ends at every depth where a row ends, so one
-    product over the domain enumerates its variables before the last;
-    the first row ending at the last variable solves it, the others
-    check it."""
+    _search_order.  A block ends at every depth where a row ends, and
+    one product over the domain enumerates its variables before the
+    last two, x and y.  Where its first two closing rows are jointly
+    linear in x and y, they solve both by Cramer's rule in integers
+    under each head with a nonzero determinant.  Under any other head,
+    and in every other block, the product runs over x too and the
+    first closing row solves y.  The other closing rows check."""
     order, plan = _search_order(rows)
     depth_of = {v: i for i, v in enumerate(order)}
     ending: dict = {}  # depth -> [(terms over depths, target)] in plan order
@@ -582,36 +603,70 @@ def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tup
         last = max(i for _, idxs in terms for i in idxs)
         ending.setdefault(last, []).append((terms, eq.target))
 
-    blocks = []  # (lo, last, a terms, r terms, target, check rows)
+    blocks = []  # (lo, last, first row split at last, check rows, pair or None)
     lo = 0
-    for last, ((terms, target), *checks) in sorted(ending.items()):
-        a_terms = [(c, tuple(i for i in idxs if i != last)) for c, idxs in terms if last in idxs]
-        r_terms = [(c, idxs) for c, idxs in terms if last not in idxs]
-        blocks.append((lo, last, a_terms, r_terms, target, checks))
+    for last, closing in sorted(ending.items()):
+        (terms, target), *checks = closing
+        pair = None
+        if checks and lo < last and not any(
+                last - 1 in idxs and last in idxs
+                for row_terms, _ in closing[:2] for _, idxs in row_terms):
+            pair = []  # per row: (x terms, y terms, other terms, target)
+            for row_terms, row_target in closing[:2]:
+                y_terms, rest = _split(row_terms, last)
+                x_terms, other = _split(rest, last - 1)
+                pair.append((x_terms, y_terms, other, row_target))
+        blocks.append((lo, last, (*_split(terms, last), target), checks, pair))
         lo = last + 1
 
     domain = range(-bound, bound + 1)
     val = [0] * len(order)
 
-    def block_solutions(lo, last, a_terms, r_terms, target, checks) -> list[tuple[int, ...]]:
+    def keep(found, lo, last, checks):
+        """Append val[lo..last] if every check row holds there."""
+        for terms, t in checks:
+            if _value(terms, val) != t:
+                return
+        found.append(tuple(val[lo:last + 1]))
+
+    def solve_last(found, lo, last, first, checks):
+        """Solve depth `last` from the first closing row under val."""
+        a_terms, r_terms, target = first
+        a = _value(a_terms, val)
+        rest = target - _value(r_terms, val)
+        if a:
+            y, remainder = divmod(rest, a)
+            candidates = (y,) if not remainder and -bound <= y <= bound else ()
+        else:
+            candidates = domain if rest == 0 else ()
+        for y in candidates:
+            val[last] = y
+            keep(found, lo, last, checks)
+
+    def block_solutions(lo, last, first, checks, pair) -> list[tuple[int, ...]]:
         """Assignments of depths lo..last under the values already in val."""
         found = []
-        for head in itertools.product(domain, repeat=last - lo):
-            val[lo:last] = head
-            a = _value(a_terms, val)
-            rest = target - _value(r_terms, val)
-            if a:
-                x, remainder = divmod(rest, a)
-                candidates = (x,) if not remainder and -bound <= x <= bound else ()
-            else:
-                candidates = domain if rest == 0 else ()
-            for x in candidates:
-                val[last] = x
-                for terms, t in checks:
-                    if _value(terms, val) != t:
-                        break
-                else:
-                    found.append(tuple(val[lo:last + 1]))
+        if pair is None:
+            for head in itertools.product(domain, repeat=last - lo):
+                val[lo:last] = head
+                solve_last(found, lo, last, first, checks)
+            return found
+        (ax1, ay1, r1, t1), (ax2, ay2, r2, t2) = pair
+        for head in itertools.product(domain, repeat=last - 1 - lo):
+            val[lo:last - 1] = head
+            a1, b1, a2, b2 = _value(ax1, val), _value(ay1, val), _value(ax2, val), _value(ay2, val)
+            det = a1 * b2 - a2 * b1
+            if not det:
+                for x in domain:
+                    val[last - 1] = x
+                    solve_last(found, lo, last, first, checks)
+                continue
+            e1, e2 = t1 - _value(r1, val), t2 - _value(r2, val)
+            x, rx = divmod(e1 * b2 - e2 * b1, det)
+            y, ry = divmod(a1 * e2 - a2 * e1, det)
+            if not (rx or ry) and -bound <= x <= bound and -bound <= y <= bound:
+                val[last - 1], val[last] = x, y
+                keep(found, lo, last, checks[1:])
         return found
 
     # a block whose rows read only its own variables is solved once

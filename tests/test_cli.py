@@ -459,6 +459,36 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert not added & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize("stderr_to_stdout", [False, True])
+@pytest.mark.parametrize("argv,code", [
+    (["system", "search", "--bound", "1", "--subsystem", "2,3"], 0),
+    (["system", "search", "--bound", "1", "--subsystem", "2,3", "--json"], 0),
+    (["system", "eval", "--assign", "{failing}"], 1),
+])
+def test_closed_stdout_keeps_the_verdict_code(tmp_path, argv, code, stderr_to_stdout):
+    # as in `commcalc ... | head -1`: the reader of stdout is gone before
+    # the first write, and the exit code is still the verdict's
+    failing = tmp_path / "assign.txt"
+    failing.write_text(SAMPLE_FILE.replace("c3 = -1/4", "c3 = 1/4"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(__file__).resolve().parent.parent / "src"),
+         *filter(None, [env.get("PYTHONPATH")])]
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "commcalc.cli", *(a.format(failing=failing) for a in argv)],
+            stdout=write_end, stderr=subprocess.STDOUT if stderr_to_stdout else subprocess.PIPE,
+            env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr in (None, b"")
+
+
 def test_version_and_help(capsys):
     assert run(capsys, "--version")[0] == 0
     assert run(capsys, "--help")[0] == 0

@@ -319,6 +319,41 @@ def test_coupled_block_has_8b_solutions(labels):
         assert len(integer_search(bound, labels)[1]) == 8 * bound
 
 
+def _branch_points(bound, branches):
+    """The points with |v| <= bound of one-parameter branches
+    eps, t -> point, for eps = +-1 and every integer t."""
+    ts = range(-2 * bound - 1, 2 * bound + 2)
+    return sorted({p for eps in (1, -1) for branch in branches for t in ts
+                   if max(map(abs, p := branch(eps, t))) <= bound})
+
+
+# the block lemma: each coupled pair of rows factors, so its integer
+# solutions are four one-parameter branches (variables in canonical order)
+_COUPLED_BRANCHES = {
+    (2, 3): (lambda e, t: (t, t + e, e, e), lambda e, t: (e, -e, t, -e - t)),  # b5 b6 c3 c4
+    (4, 7): (lambda e, t: (e, e, t, t - e), lambda e, t: (t, e - t, e, -e)),  # a3 a4 b1 b2
+    (12, 15): (lambda e, t: (e, e, t, e - t), lambda e, t: (t, e - t, e, e)),  # a5 a6 c1 c2
+}
+
+
+@pytest.mark.parametrize("labels", list(_COUPLED_BRANCHES))
+def test_coupled_block_solutions_are_its_closed_form_branches(labels):
+    for bound in range(1, 41):
+        _, sols = integer_search(bound, labels)
+        assert sols == _branch_points(bound, _COUPLED_BRANCHES[labels]), (labels, bound)
+
+
+@pytest.mark.parametrize("labels", [
+    (5, 6, 8, 9), (5, 6, 10, 13), (5, 8, 10, 11), (2, 3, 4, 5, 8), (2, 4, 6, 8, 12),
+    (3, 4, 5, 9, 12), (4, 5, 10, 12, 15),
+])
+def test_search_matches_reference_where_two_uncoupled_rows_are_solved_together(labels):
+    # each plan solves a block's last two variables from two rows that
+    # are not a coupled pair, with a 2 x 2 determinant that is zero
+    # under some heads and nonzero under others
+    assert integer_search(2, labels) == reference_search(2, labels)
+
+
 def test_independent_blocks_multiply():
     for bound in range(1, 6):
         canon, sols = integer_search(bound, [2, 3, 4, 7])
