@@ -24,6 +24,7 @@ int, a bracket is a pair (left, right).  Example, right-normed:
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterable, Sequence
 from itertools import permutations
@@ -315,13 +316,20 @@ def combination_vector(terms: Iterable[tuple]) -> TensorVec:
     """Tensor vector of a signed combination of right-normed commutators."""
     out: TensorVec = {}
     for c, perm in terms:
-        for k, v in expand_tree(right_normed(perm)).items():
+        for k, v in _right_normed_expansion(tuple(perm)).items():
             cv = out.get(k, 0) + c * v
             if cv:
                 out[k] = cv
             else:
                 out.pop(k, None)
     return out
+
+
+@functools.cache
+def _right_normed_expansion(perm: tuple) -> TensorVec:
+    """expand_tree(right_normed(perm)), expanded once per process;
+    callers only read it."""
+    return expand_tree(right_normed(perm))
 
 
 def verify_appendix_identity(k: int, table: dict | None = None) -> bool:

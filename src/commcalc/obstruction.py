@@ -6,7 +6,9 @@ Each family is a plain function (b1, b5) -> point in the source's
 printed shape, certified by exact evaluation on the fixed 13 x 13 grid
 (a degree bound makes that a proof; see verify_family).  Values in
 Q(sqrt 3) are QSqrt3s, three integers (a + b*sqrt(3))/d in lowest
-terms, so the grid pass is integer arithmetic.  The search is
+terms.  The grid pass is integer arithmetic that reduces once per
+row: a residual is summed in unreduced triples over a common
+denominator and put in lowest terms at the end.  The search is
 factored: rows sharing no variable are searched apart and joined by
 product, the variable order is planned from the rows, the last
 variable a block's rows end at is solved rather than enumerated -- the
@@ -34,7 +36,6 @@ import itertools
 import math
 import re
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 
 from .words import _Value
 
@@ -58,6 +59,7 @@ def _parts(x):
         return x._a, x._b, x._d
     if isinstance(x, int):
         return x, 0, 1
+    from fractions import Fraction  # here, so that the search never loads it
     if isinstance(x, Fraction):
         return x.numerator, 0, x.denominator
     return None
@@ -98,10 +100,12 @@ class QSqrt3:
 
     @property
     def a(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._a, self._d)
 
     @property
     def b(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self._b, self._d)
 
     def __add__(self, o):
@@ -199,14 +203,22 @@ class Equation(_Value):
         object.__setattr__(self, "target", target)
 
     def residual(self, assignment: dict) -> QSqrt3:
-        """Value minus target at an assignment of QSqrt3 values."""
-        total = QSqrt3(-self.target)
+        """Value minus target at an assignment of QSqrt3 values.
+
+        It reads each value's three ints directly, so every value must
+        be a QSqrt3, as evaluate makes sure.  The row is summed in
+        unreduced triples (a, b, d), products and sums over a common
+        denominator, and put in lowest terms once at the end; lowest
+        terms are unique, so the result is the same as with QSqrt3
+        arithmetic throughout."""
+        a, b, d = -self.target, 0, 1
         for coeff, mono in self.terms:
-            t = coeff
+            ta, tb, td = coeff, 0, 1
             for v in mono:
-                t = t * assignment[v]
-            total = total + t
-        return total
+                x = assignment[v]
+                ta, tb, td = ta * x._a + 3 * tb * x._b, ta * x._b + tb * x._a, td * x._d
+            a, b, d = a * td + ta * d, b * td + tb * d, d * td
+        return _reduced(a, b, d)
 
 
 # Equation-table source: rows (1)-(15); row (1) is the base row that is
@@ -321,6 +333,8 @@ class PolySystem:
     def __init__(self, equations: Sequence[Equation], check: dict | None = None):
         self.equations = tuple(equations)
         self.cross_check = check
+        used = {v for eq in self.equations for (_, mono) in eq.terms for v in mono}
+        self._variables = tuple(v for v in VARIABLES if v in used)
 
     def __iter__(self):
         return iter(self.equations)
@@ -339,8 +353,7 @@ class PolySystem:
         return PolySystem([eq for eq in self.equations if eq.label in labels])
 
     def variables(self) -> tuple[str, ...]:
-        used = {v for eq in self.equations for (_, mono) in eq.terms for v in mono}
-        return tuple(v for v in VARIABLES if v in used)
+        return self._variables
 
 
 @functools.cache
@@ -386,6 +399,7 @@ def _family_1(b1, b5) -> dict:
 def _family_2(b1, b5) -> dict:
     """a3 = -s/(2 b1); irrational in every coordinate that is forced
     away from Q."""
+    from fractions import Fraction
     s = SQRT3
     return {
         "a3": -s / (2 * b1), "a4": -s / (2 * b1),
@@ -400,6 +414,7 @@ def _family_2(b1, b5) -> dict:
 
 def _family_3(b1, b5) -> dict:
     """The Galois conjugate shape, a3 = +s/(2 b1)."""
+    from fractions import Fraction
     s = SQRT3
     return {
         "a3": s / (2 * b1), "a4": s / (2 * b1),
@@ -427,6 +442,7 @@ def family_assignment(family_id: int, b1, b5) -> dict:
 
 def default_grid() -> list[tuple[Fraction, Fraction]]:
     """The 13 x 13 grid {1..13}^2 of parameter values (b1, b5)."""
+    from fractions import Fraction
     return [(Fraction(i), Fraction(j)) for i in range(1, 14) for j in range(1, 14)]
 
 
@@ -440,6 +456,7 @@ def verify_family(family_id: int) -> dict:
     not a spot check.  Family 1's report also holds its closed-form
     facts c3 = c4, c3 * b5 = -1/4 and c1 = 0, checked at the same points.
     """
+    from fractions import Fraction
     if family_id not in FAMILIES:
         raise ValueError(f"family id must be 1..3, got {family_id}")
     system = obstruction_system()

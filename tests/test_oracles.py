@@ -12,7 +12,10 @@ transcribed here again as sympy expressions in b1, b5 and sqrt(3); the
 system's rows are simplified to zero on them symbolically, and the
 engine's points are compared with them without trusting `QSqrt3`.
 `QSqrt3` arithmetic itself is compared with sympy's radsimp on
-generated operands (hypothesis when installed, else a seeded loop).
+generated operands, and so are the residuals `evaluate` gives at
+generated points that are not solutions, with numbers of up to
+`MAX_SCALAR_DIGITS` digits (hypothesis when installed, else a seeded
+loop).
 """
 
 import math
@@ -27,8 +30,10 @@ from commcalc.lie import INDICES, LEMMA_GENERATORS, PRINTED_RHS, RationalMatrix
 from commcalc.magnus import VariableSet, expand
 from commcalc.obstruction import (
     FAMILIES,
+    MAX_SCALAR_DIGITS,
     VARIABLES,
     QSqrt3,
+    evaluate,
     family_assignment,
     obstruction_system,
 )
@@ -321,3 +326,63 @@ else:
     )
     def test_qsqrt3_matches_sympy(p, q, n, f):
         check_qsqrt3_against_sympy(p, q, n, f)
+
+
+# --- residuals against sympy --------------------------------------------------
+
+
+def _sympy_value(x):
+    """x (int, Fraction or QSqrt3) as a sympy number."""
+    if isinstance(x, QSqrt3):
+        return _rational(x.a) + _rational(x.b) * S
+    return _rational(Fraction(x))
+
+
+def check_residuals_against_sympy(assignment: dict):
+    """Every residual evaluate gives at the assignment equals sympy's
+    exact value of its row there and is held in lowest terms."""
+    at = {v: _sympy_value(x) for v, x in assignment.items()}
+    residuals = evaluate(obstruction_system(), assignment)
+    for eq in obstruction_system():
+        value = sympy.Add(*(c * sympy.Mul(*(at[v] for v in mono)) for c, mono in eq.terms))
+        got = residuals[eq.label]
+        assert (got.a, got.b) == _as_fractions(value - eq.target), (eq.label, assignment)
+        assert got._d > 0 and math.gcd(got._a, got._b, got._d) == 1, (eq.label, repr(got))
+
+
+#: The largest number a scalar of an admitted assignment may hold.
+_BIG = 10**MAX_SCALAR_DIGITS - 1
+
+if hypothesis is None:
+
+    def test_residuals_match_sympy():
+        rng = random.Random(4913)
+
+        def number(digits):
+            return rng.randint(-(10**digits - 1), 10**digits - 1)
+
+        def scalar():
+            digits = rng.choice([1, 3, 40, MAX_SCALAR_DIGITS])
+            kind = rng.randrange(3)
+            if kind == 0:
+                return number(digits)
+            frac = [Fraction(number(digits), abs(number(digits)) or 1) for _ in range(2)]
+            return frac[0] if kind == 1 else QSqrt3(*frac)
+
+        for _ in range(20):
+            check_residuals_against_sympy({v: scalar() for v in VARIABLES})
+
+else:
+    _numbers = st.one_of(st.integers(-9, 9), st.integers(-_BIG, _BIG))
+    _big_fractions = st.builds(Fraction, _numbers, st.integers(1, _BIG) | st.integers(1, 9))
+    _scalars = st.one_of(_numbers, _big_fractions, st.builds(QSqrt3, _big_fractions, _big_fractions))
+
+    @hypothesis.settings(
+        max_examples=20,
+        deadline=None,
+        database=None,
+        phases=[p for p in hypothesis.Phase if p is not hypothesis.Phase.explain],
+    )
+    @hypothesis.given(st.fixed_dictionaries({v: _scalars for v in VARIABLES}))
+    def test_residuals_match_sympy(assignment):
+        check_residuals_against_sympy(assignment)

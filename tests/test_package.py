@@ -123,7 +123,7 @@ def test_command_compiles_only_the_layers_it_uses(tmp_path, argv, code, modules)
     proc, compiled, imported = run_fresh(tmp_path, RUN_CLI, *argv)
     assert proc.returncode == code, proc.stderr
     assert compiled == modules
-    if argv[0] in ("reduce", "magnus", "lie"):
+    if argv[0] in ("reduce", "magnus", "lie", "system"):
         # typing served annotations only; Fractions are built only by
         # the commands that read or print them
         assert not imported & {"typing", "fractions", "decimal"}
