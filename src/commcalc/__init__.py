@@ -34,8 +34,8 @@ _EXPORTS = {
         "right_normed", "to_basis", "verify_appendix_identity", "verify_lemma_w",
     ),
     "obstruction": (
-        "PoleError", "PolySystem", "QSqrt3", "evaluate", "integer_search",
-        "obstruction_system", "verify_family",
+        "PoleError", "QSqrt3", "evaluate", "integer_search", "obstruction_system",
+        "verify_family",
     ),
     "hopf": (
         "HopfScenario", "InadmissibleSubstitutionError", "find_substitutions",

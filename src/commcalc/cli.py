@@ -30,28 +30,6 @@ def _report(command: str, passed: bool, payload: dict, t0: float) -> dict:
     }
 
 
-def validate_report(obj) -> list[str]:
-    """Structural validation against the shipped schema; returns a list
-    of violations (empty = valid)."""
-    problems = []
-    if not isinstance(obj, dict):
-        return ["report is not an object"]
-    required = {"command": str, "version": str, "passed": bool, "payload": dict}
-    for key, typ in required.items():
-        if key not in obj:
-            problems.append(f"missing key {key!r}")
-        elif not isinstance(obj[key], typ):
-            problems.append(f"key {key!r} has type {type(obj[key]).__name__}")
-    if "timing_ms" not in obj:
-        problems.append("missing key 'timing_ms'")
-    elif not isinstance(obj["timing_ms"], (int, float)):
-        problems.append("key 'timing_ms' is not a number")
-    extra = set(obj) - {"command", "version", "passed", "payload", "timing_ms"}
-    if extra:
-        problems.append(f"unexpected keys {sorted(extra)}")
-    return problems
-
-
 def _emit(report: dict, text_lines: list[str], as_json: bool) -> int:
     """Print the report and return its verdict code, also when the
     reader of stdout has gone (as `| head -1` does)."""
@@ -324,19 +302,17 @@ def parse_scalar(text: str) -> obstruction.QSqrt3:
     return obstruction.QSqrt3(a, b)
 
 
-def _fraction(text: str, part: str):
-    """The Fraction of a matched 'p' or 'p/q' of text.  Its digits may
-    be any script's decimals, so a zero denominator is one whose every
-    digit is zero."""
-    from fractions import Fraction  # here, so that commands reading no scalar never load it
-
+def _fraction(text: str, part: str) -> obstruction.QSqrt3:
+    """The rational number of a matched 'p' or 'p/q' of text, as a
+    QSqrt3.  Its digits may be any script's decimals, so a zero
+    denominator is one whose every digit is zero."""
     num, _, den = part.partition("/")
     limit = obstruction.MAX_SCALAR_DIGITS
     if len(num.lstrip("+-")) > limit or len(den) > limit:
         raise ValueError(f"scalar with a number of more than {limit} digits")
     if den and not any(map(int, den)):
         raise ValueError(f"zero denominator in scalar {text!r}")
-    return Fraction(part)
+    return obstruction.QSqrt3(int(num)) / int(den or 1)
 
 
 def parse_assignment_file(path: str) -> dict:

@@ -2,6 +2,11 @@
 three parametric solution families over Q(sqrt 3), and an exact bounded
 search certifying the absence of small integer solutions.
 
+A row is an Equation, a named tuple (label, terms, target) whose terms
+are (coefficient, variable names) pairs in source order; the system is
+the tuple of the 15 rows in label order.  This layer needs nothing
+from the others: its numbers are ints and QSqrt3s.
+
 Each family is a plain function (b1, b5) -> point in the source's
 printed shape, certified by exact evaluation on the fixed 13 x 13 grid
 (a degree bound makes that a proof; see verify_family).  Values in
@@ -24,7 +29,8 @@ set a degree-2 or degree-3 polynomial equal to 1.
 
 The system is stored twice, from its two source transcriptions -- a
 structured equation table and a solver input block -- and the two are
-cross-checked against each other on construction.  The solver block's
+cross-checked against each other on the first call of
+obstruction_system().  The solver block's
 row 9 carries a spurious trailing "== 1"; the cross-check flags it and
 compares the equation part, rather than repairing the text silently.
 """
@@ -35,9 +41,8 @@ import functools
 import itertools
 import math
 import re
-from collections.abc import Iterable, Sequence
-
-from .words import _Value
+from collections import namedtuple
+from collections.abc import Iterable
 
 VARIABLES: tuple[str, ...] = (
     "a3", "a4", "a5", "a6", "b1", "b2", "b5", "b6", "c1", "c2", "c3", "c4",
@@ -59,7 +64,7 @@ def _parts(x):
         return x._a, x._b, x._d
     if isinstance(x, int):
         return x, 0, 1
-    from fractions import Fraction  # here, so that the search never loads it
+    from fractions import Fraction  # here, so that the search and the families never load it
     if isinstance(x, Fraction):
         return x.numerator, 0, x.denominator
     return None
@@ -192,38 +197,33 @@ SQRT3 = QSqrt3(0, 1)
 # the system, from its two sources
 
 
-class Equation(_Value):
-    """label, sparse polynomial {sorted variable tuple: coefficient}, target."""
+#: One row: its label, its terms ((coeff, (var, ...)), ...) in source
+#: order, and its target; the row says sum of coeff * product = target.
+Equation = namedtuple("Equation", "label terms target")
 
-    __slots__ = ("label", "terms", "target")  # terms: ((coeff, (var, ...)), ...)
 
-    def __init__(self, label: int, terms: tuple, target: int):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "target", target)
+def _residual(row: Equation, assignment: dict) -> QSqrt3:
+    """Value minus target of a row at an assignment of QSqrt3 values.
 
-    def residual(self, assignment: dict) -> QSqrt3:
-        """Value minus target at an assignment of QSqrt3 values.
-
-        It reads each value's three ints directly, so every value must
-        be a QSqrt3, as evaluate makes sure.  The row is summed in
-        unreduced triples (a, b, d), products and sums over a common
-        denominator, and put in lowest terms once at the end; lowest
-        terms are unique, so the result is the same as with QSqrt3
-        arithmetic throughout."""
-        a, b, d = -self.target, 0, 1
-        for coeff, mono in self.terms:
-            ta, tb, td = coeff, 0, 1
-            for v in mono:
-                x = assignment[v]
-                ta, tb, td = ta * x._a + 3 * tb * x._b, ta * x._b + tb * x._a, td * x._d
-            a, b, d = a * td + ta * d, b * td + tb * d, d * td
-        return _reduced(a, b, d)
+    It reads each value's three ints directly, so every value must
+    be a QSqrt3, as evaluate makes sure.  The row is summed in
+    unreduced triples (a, b, d), products and sums over a common
+    denominator, and put in lowest terms once at the end; lowest
+    terms are unique, so the result is the same as with QSqrt3
+    arithmetic throughout."""
+    a, b, d = -row.target, 0, 1
+    for coeff, mono in row.terms:
+        ta, tb, td = coeff, 0, 1
+        for v in mono:
+            x = assignment[v]
+            ta, tb, td = ta * x._a + 3 * tb * x._b, ta * x._b + tb * x._a, td * x._d
+        a, b, d = a * td + ta * d, b * td + tb * d, d * td
+    return _reduced(a, b, d)
 
 
 # Equation-table source: rows (1)-(15); row (1) is the base row that is
 # automatically satisfied, normalized here to 0 = 0.
-_TABLE: tuple = (
+_TABLE: tuple = tuple(Equation(*row) for row in (
     (1, (), 0),
     (2, ((1, ("b6", "c4")), (-1, ("b5", "c3"))), 1),
     (3, ((1, ("b6", "c3")), (-1, ("b5", "c4"))), 1),
@@ -239,7 +239,7 @@ _TABLE: tuple = (
     (13, ((1, ("a6", "b2", "c4")), (-1, ("c1", "a3", "b5"))), 1),
     (14, ((1, ("a6", "b2", "c3")), (-1, ("c1", "a4", "b5"))), 1),
     (15, ((1, ("a6", "c2")), (1, ("c1", "a5"))), 1),
-)
+))
 
 
 def _scalar_digit_bound(rows: tuple) -> int:
@@ -327,55 +327,33 @@ def transcription_check() -> dict:
     }
 
 
-class PolySystem:
-    """The 15 labelled rows, cross-checked between sources on build."""
-
-    def __init__(self, equations: Sequence[Equation], check: dict | None = None):
-        self.equations = tuple(equations)
-        self.cross_check = check
-        used = {v for eq in self.equations for (_, mono) in eq.terms for v in mono}
-        self._variables = tuple(v for v in VARIABLES if v in used)
-
-    def __iter__(self):
-        return iter(self.equations)
-
-    def __len__(self):
-        return len(self.equations)
-
-    def __getitem__(self, label: int) -> Equation:
-        for eq in self.equations:
-            if eq.label == label:
-                return eq
-        raise KeyError(label)
-
-    def subsystem(self, labels: Iterable[int]) -> "PolySystem":
-        labels = set(labels)
-        return PolySystem([eq for eq in self.equations if eq.label in labels])
-
-    def variables(self) -> tuple[str, ...]:
-        return self._variables
-
-
 @functools.cache
-def obstruction_system() -> PolySystem:
-    """The full 15-row system with the dual-source cross-check attached.
+def obstruction_system() -> tuple:
+    """The 15 rows in label order.
 
-    Built once per process: the cross-check runs on the first call and
-    raises on drift between the sources."""
+    The first call in a process cross-checks the two source
+    transcriptions and raises on drift between them."""
     check = transcription_check()
     if not check["all_agree"]:
         raise AssertionError(f"transcription drift between sources: {check}")
-    eqs = [Equation(label, terms, target) for (label, terms, target) in _TABLE]
-    return PolySystem(eqs, check=check)
+    return _TABLE
 
 
-def evaluate(system: PolySystem, assignment: dict) -> dict:
-    """Exact residual (value - target) per row, keyed by label."""
+def evaluate(rows: Iterable[Equation], assignment: dict) -> dict:
+    """Exact residual (value - target) of each row, keyed by label.
+
+    The rows may be the whole system or any selection of it.  The
+    assignment maps variables to ints, Fractions or QSqrt3s and must
+    give every variable the rows read; a missing one raises
+    ValueError naming them all, in VARIABLES order."""
+    rows = tuple(rows)
     env = {v: x if isinstance(x, QSqrt3) else QSqrt3(x) for v, x in assignment.items()}
-    missing = [v for v in system.variables() if v not in env]
-    if missing:
-        raise ValueError(f"assignment missing variables: {missing}")
-    return {eq.label: eq.residual(env) for eq in system}
+    try:
+        return {row.label: _residual(row, env) for row in rows}
+    except KeyError:
+        used = {v for row in rows for _, mono in row.terms for v in mono}
+        missing = [v for v in VARIABLES if v in used and v not in env]
+        raise ValueError(f"assignment missing variables: {missing}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -399,12 +377,11 @@ def _family_1(b1, b5) -> dict:
 def _family_2(b1, b5) -> dict:
     """a3 = -s/(2 b1); irrational in every coordinate that is forced
     away from Q."""
-    from fractions import Fraction
     s = SQRT3
     return {
         "a3": -s / (2 * b1), "a4": -s / (2 * b1),
         "a5": QSqrt3(0), "a6": 3 * (-5 * b5 - 3 * s * b5) / (2 * (3 * b1 + 2 * s * b1)),
-        "b1": b1, "b2": Fraction(1, 3) * (3 * b1 + 2 * s * b1),
+        "b1": b1, "b2": (3 * b1 + 2 * s * b1) / 3,
         "b5": b5, "b6": -b5 - s * b5,
         "c1": -2 * (3 * b1 + 2 * s * b1) / (3 * (5 + 3 * s) * b5),
         "c2": -2 * (3 * b1 + 2 * s * b1) / (3 * (5 + 3 * s) * b5),
@@ -414,12 +391,11 @@ def _family_2(b1, b5) -> dict:
 
 def _family_3(b1, b5) -> dict:
     """The Galois conjugate shape, a3 = +s/(2 b1)."""
-    from fractions import Fraction
     s = SQRT3
     return {
         "a3": s / (2 * b1), "a4": s / (2 * b1),
         "a5": QSqrt3(0), "a6": 3 * (5 * b5 - 3 * s * b5) / (2 * (-3 * b1 + 2 * s * b1)),
-        "b1": b1, "b2": Fraction(1, 3) * (3 * b1 - 2 * s * b1),
+        "b1": b1, "b2": (3 * b1 - 2 * s * b1) / 3,
         "b5": b5, "b6": -b5 + s * b5,
         "c1": -2 * (-3 * b1 + 2 * s * b1) / (3 * (-5 + 3 * s) * b5),
         "c2": -2 * (-3 + 2 * s) * b1 / (3 * (-5 + 3 * s) * b5),
@@ -440,14 +416,9 @@ def family_assignment(family_id: int, b1, b5) -> dict:
     return FAMILIES[family_id](b1, b5)
 
 
-def default_grid() -> list[tuple[Fraction, Fraction]]:
-    """The 13 x 13 grid {1..13}^2 of parameter values (b1, b5)."""
-    from fractions import Fraction
-    return [(Fraction(i), Fraction(j)) for i in range(1, 14) for j in range(1, 14)]
-
-
 def verify_family(family_id: int) -> dict:
-    """Evaluate a family exactly at every point of the 13 x 13 grid.
+    """Evaluate a family exactly at every point (b1, b5) of the
+    13 x 13 grid {1..13}^2.
 
     After clearing denominators, each residual numerator is a
     polynomial of degree at most 12 in each of b1 and b5, so vanishing
@@ -456,11 +427,11 @@ def verify_family(family_id: int) -> dict:
     not a spot check.  Family 1's report also holds its closed-form
     facts c3 = c4, c3 * b5 = -1/4 and c1 = 0, checked at the same points.
     """
-    from fractions import Fraction
     if family_id not in FAMILIES:
         raise ValueError(f"family id must be 1..3, got {family_id}")
     system = obstruction_system()
-    points = [(b1, b5, family_assignment(family_id, b1, b5)) for b1, b5 in default_grid()]
+    points = [(b1, b5, family_assignment(family_id, b1, b5))
+              for b1 in range(1, 14) for b5 in range(1, 14)]
     failures = []
     for b1, b5, env in points:
         res = evaluate(system, env)
@@ -477,7 +448,7 @@ def verify_family(family_id: int) -> dict:
         report["closed_form_facts"] = {
             "c3_equals_c4": all(env["c3"] == env["c4"] for _, _, env in points),
             "c3_equals_minus_quarter_over_b5": all(
-                env["c3"] * b5 == Fraction(-1, 4) for _, b5, env in points
+                4 * b5 * env["c3"] == -1 for _, b5, env in points
             ),
             "c1_is_zero": all(env["c1"].is_zero() for _, _, env in points),
         }
@@ -534,8 +505,7 @@ def integer_search(
         unknown = labels - {eq.label for eq in system}
         if unknown:
             raise ValueError(f"unknown row labels {sorted(unknown)}; rows are 1-{len(system)}")
-        system = system.subsystem(labels)
-    rows = [eq for eq in system if eq.terms]
+    rows = [eq for eq in system if eq.terms and (labels is None or eq.label in labels)]
     parts = [_search_component(component, bound) for component in _components(rows)]
     count = math.prod(len(sols) for _, sols in parts)
     if count > MAX_SOLUTIONS:

@@ -23,9 +23,8 @@ def _row_order(rows):
 
 def reference_search(bound, labels=None):
     """(variables in canonical order, sorted solutions with |v| <= bound)."""
-    system = obstruction_system()
-    rows = list(system.subsystem(labels) if labels is not None else system)
-    rows = [eq for eq in rows if eq.terms]
+    rows = [eq for eq in obstruction_system()
+            if eq.terms and (labels is None or eq.label in labels)]
     used = _row_order(rows)
     depth_of = {v: i for i, v in enumerate(used)}
 

@@ -30,6 +30,11 @@ SAMPLE = {
 }
 
 
+def rows_of(labels):
+    """The rows of the system with the given labels, in label order."""
+    return [eq for eq in obstruction_system() if eq.label in labels]
+
+
 # --- scalar field ----------------------------------------------------------
 
 
@@ -95,17 +100,17 @@ def test_qsqrt3_rejects_non_exact_parts(bad):
 
 def test_system_shape():
     system = obstruction_system()
-    assert len(system) == 15
+    assert type(system) is tuple and len(system) == 15
     assert [eq.label for eq in system] == list(range(1, 16))
-    assert not system[1].terms and system[1].target == 0
+    assert not system[0].terms and system[0].target == 0
 
 
 def test_row_golden_values():
-    system = obstruction_system()
-    assert system[2].terms == ((1, ("b6", "c4")), (-1, ("b5", "c3")))
-    assert system[2].target == 1
-    assert system[12].terms == ((1, ("a5", "c2")), (1, ("c1", "a6")))
-    assert system[5].terms == ((-1, ("a3", "b6", "c2")), (-1, ("b1", "a5", "c4")))
+    row = {eq.label: eq for eq in obstruction_system()}
+    assert row[2].terms == ((1, ("b6", "c4")), (-1, ("b5", "c3")))
+    assert row[2].target == 1
+    assert row[12].terms == ((1, ("a5", "c2")), (1, ("c1", "a6")))
+    assert row[5].terms == ((-1, ("a3", "b6", "c2")), (-1, ("b1", "a5", "c4")))
 
 
 def test_rows_have_degree_2_or_3_and_unit_coefficients():
@@ -149,18 +154,26 @@ def test_flipped_gamma3_breaks_rows_2_and_3():
 
 
 def test_residuals_concatenate():
-    system = obstruction_system()
-    sub_a = system.subsystem([2, 3])
-    sub_b = system.subsystem([4, 7])
-    res_a = evaluate(sub_a, SAMPLE)
-    res_b = evaluate(sub_b, SAMPLE)
-    combined = evaluate(system.subsystem([2, 3, 4, 7]), SAMPLE)
+    res_a = evaluate(rows_of([2, 3]), SAMPLE)
+    res_b = evaluate(iter(rows_of([4, 7])), SAMPLE)
+    combined = evaluate(rows_of([2, 3, 4, 7]), SAMPLE)
     assert combined == {**res_a, **res_b}
 
 
 def test_missing_variable_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         evaluate(obstruction_system(), {"a3": 1})
+    assert str(caught.value) == f"assignment missing variables: {list(VARIABLES[1:])}"
+
+
+def test_rows_need_only_the_variables_they_read():
+    # rows (2) and (3) read b5, b6, c3 and c4 alone
+    point = {v: SAMPLE[v] for v in ("b5", "b6", "c3", "c4")}
+    assert evaluate(rows_of([2, 3]), point) == {2: QSqrt3(0), 3: QSqrt3(0)}
+    del point["c4"]
+    with pytest.raises(ValueError) as caught:
+        evaluate(rows_of([2, 3]), point)
+    assert str(caught.value) == "assignment missing variables: ['c4']"
 
 
 # --- families ---------------------------------------------------------------
@@ -393,7 +406,7 @@ def test_system_is_built_once_and_cross_checked(monkeypatch):
     finally:
         monkeypatch.undo()
         obstruction_system.cache_clear()
-    assert obstruction_system().cross_check["all_agree"]
+    assert obstruction_system() == obstruction._TABLE
 
 
 def test_search_plan_orders_every_small_subset():
@@ -401,7 +414,7 @@ def test_search_plan_orders_every_small_subset():
     # once and takes rows with equal variable sets together
     for size in (1, 2, 3):
         for labels in itertools.combinations(range(1, 16), size):
-            rows = [eq for eq in obstruction_system().subsystem(labels) if eq.terms]
+            rows = [eq for eq in rows_of(labels) if eq.terms]
             order, plan = obstruction._search_order(rows)
             sets = [frozenset(obstruction._variables_of(eq)) for eq in plan]
             assert sorted(order) == sorted(set().union(*sets))

@@ -26,8 +26,8 @@ REEXPORTS = {
     magnus: ["MagnusPoly", "VariableSet", "expand", "is_trivial_word", "lcs_degree"],
     lie: ["RationalMatrix", "TreeError", "build_expansion_matrix", "expand_tree",
           "right_normed", "to_basis", "verify_appendix_identity", "verify_lemma_w"],
-    obstruction: ["PoleError", "PolySystem", "QSqrt3", "evaluate", "integer_search",
-                  "obstruction_system", "verify_family"],
+    obstruction: ["PoleError", "QSqrt3", "evaluate", "integer_search", "obstruction_system",
+                  "verify_family"],
     hopf: ["HopfScenario", "InadmissibleSubstitutionError", "find_substitutions",
            "verify_hopf_triviality"],
 }
@@ -110,23 +110,24 @@ FOOTPRINTS = [
     (["reduce", "[x,y"], 2, BASE),
     (["magnus", "[m1,m2]*m3", "--vars", "m1,m2,m3"], 0, BASE | {"magnus"}),
     (["lie", "to-basis", "[m2,[[m3,m4],[m5,m6]]]"], 0, BASE | {"lie"}),
-    (["system", "search", "--bound", "3"], 0, BASE | {"obstruction"}),
+    (["system", "search", "--bound", "3"], 0, {"__init__", "cli", "obstruction"}),
+    (["verify", "families"], 0, {"__init__", "cli", "obstruction"}),
     (["verify", "hopf"], 0, BASE | {"magnus", "hopf"}),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, code, modules", FOOTPRINTS,
-    ids=["reduce", "reduce-error", "magnus", "lie", "search", "hopf"],
+    ids=["reduce", "reduce-error", "magnus", "lie", "search", "families", "hopf"],
 )
 def test_command_compiles_only_the_layers_it_uses(tmp_path, argv, code, modules):
     proc, compiled, imported = run_fresh(tmp_path, RUN_CLI, *argv)
     assert proc.returncode == code, proc.stderr
     assert compiled == modules
-    if argv[0] in ("reduce", "magnus", "lie", "system"):
-        # typing served annotations only; Fractions are built only by
-        # the commands that read or print them
-        assert not imported & {"typing", "fractions", "decimal"}
+    # typing served annotations only; the obstruction layer's numbers
+    # are ints and QSqrt3s, and Fractions are built only by the commands
+    # that read or print them
+    assert not imported & {"typing", "fractions", "decimal"}
 
 
 def library_snippet() -> str:
