@@ -2,11 +2,11 @@
 
 Free-group words and commutator expressions over generator names (a
 generator is its name), Magnus expansions in the squarefree truncated
-power-series ring, multilinear free-Lie reduction (basis coordinates
-and the quotient dimension read off the tensor expansion, the basis
-rank and the rank-14 dependency certified by fraction-free integer
-elimination), and the band-sum obstruction system with its Q(sqrt 3)
-solution families and bounded integer search.
+power-series ring, multilinear free-Lie reduction (basis coordinates,
+basis rank and quotient dimension read off the tensor expansion; the
+rank-14 dependency by fraction-free elimination on the 24 coordinates,
+whose ranks are the 120-column ones), and the band-sum obstruction
+system with its Q(sqrt 3) solution families and bounded integer search.
 
 The five layers load on first use: importing the package registers
 each one in sys.modules, and a layer's source runs the first time one
@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "magnus": ("MagnusPoly", "VariableSet", "expand", "is_trivial_word", "lcs_degree"),
     "lie": (
-        "RationalMatrix", "TreeError", "build_expansion_matrix", "expand_tree",
-        "right_normed", "to_basis", "verify_appendix_identity", "verify_lemma_w",
+        "RationalMatrix", "TreeError", "expand_tree", "right_normed", "to_basis",
+        "verify_appendix_identity", "verify_lemma_w",
     ),
     "obstruction": (
         "PoleError", "QSqrt3", "evaluate", "integer_search", "obstruction_system",

@@ -120,9 +120,7 @@ LEMMA_EXPECTED = {
 def _lemma_payload() -> dict:
     payload = lie.verify_lemma_w()
     payload["basis_rank"] = lie.basis_rank()
-    payload["small_degree_ranks"] = {
-        str(d): lie.build_expansion_matrix(range(2, 2 + d)).rank() for d in (2, 3, 4)
-    }
+    payload["small_degree_ranks"] = {str(d): lie.quotient_dim(range(2, 2 + d)) for d in (2, 3, 4)}
     payload["expected"] = LEMMA_EXPECTED
     payload["passed"] = all(payload[k] == v for k, v in LEMMA_EXPECTED.items())
     return payload

@@ -1,6 +1,6 @@
 """Formal multilinear commutators, their tensor expansions, exact
 integer linear algebra, and the dimension/intersection computations
-for the 120-dimensional commutator space.
+for the degree-5 commutator space.
 
 A bracket tree expands recursively by [a,b] -> ab - ba into the
 multilinear component of the tensor algebra: a signed sum of
@@ -9,13 +9,14 @@ antisymmetry) is handled operationally as the kernel of this expansion
 map, which identifies the quotient with the multilinear free-Lie
 component of dimension (d-1)!.
 
-Basis coordinates need no elimination.  The 24 right-normed
-commutators [i1,[i2,[i3,[i4,6]]]] are the standard basis of the
-degree-5 multilinear component (Reutenauer, Free Lie Algebras, 1993),
+The 24 right-normed commutators [i1,[i2,[i3,[i4,6]]]] are the standard
+basis of the degree-5 component (Reutenauer, Free Lie Algebras, 1993),
 and each one expands to exactly one monomial ending in 6, namely
-i1 i2 i3 i4 6, with coefficient +1.  So the coordinates of any Lie
-element are the coefficients of its expansion's monomials that end in
-6; the quotient dimension is read off the same way (quotient_dim).
+i1 i2 i3 i4 6, with coefficient +1.  So a Lie element's coordinates
+are its expansion's coefficients on those monomials (_read_off), and
+as the basis expansions are the identity there, coordinates map to
+tensors injectively: every rank and kernel is taken on the 24
+coordinates, and equals the one on the 120 tensor columns.
 
 Trees are nested tuples over distinct integer indices: a leaf is an
 int, a bracket is a pair (left, right).  Example, right-normed:
@@ -109,6 +110,8 @@ def comm_expr_to_tree(expr) -> CommTree:
 # exact integer matrices
 
 
+# Named so for the benchmark's tracer (perfbench/trace_child.py), which
+# wraps rank and left_kernel by name for its lie.rank_ms metric.
 class RationalMatrix:
     """Dense integer matrix.  Elimination is fraction-free (Bareiss,
     1968) with first-nonzero pivoting, so every derived quantity (rank,
@@ -165,27 +168,6 @@ def _eliminate(rows: list, cols: int) -> int:
     return piv
 
 
-def _tensor_matrix(vectors: Iterable[TensorVec], indices: Sequence[int]) -> RationalMatrix:
-    """One row per tensor vector; the columns are the permutation
-    monomials over `indices` in lex order."""
-    pos = {c: i for i, c in enumerate(permutations(sorted(indices)))}
-    rows = []
-    for vec in vectors:
-        row = [0] * len(pos)
-        for k, v in vec.items():
-            row[pos[k]] = v
-        rows.append(row)
-    return RationalMatrix(rows)
-
-
-def build_expansion_matrix(indices: Sequence[int]) -> RationalMatrix:
-    """Rows: the d! right-normed commutators over `indices` in lex order
-    of their leaf sequences.  Columns: the d! permutation monomials in
-    lex order.  Entries are the tensor-expansion coefficients."""
-    idx = sorted(indices)
-    return _tensor_matrix((expand_tree(right_normed(p)) for p in permutations(idx)), idx)
-
-
 # ---------------------------------------------------------------------------
 # the degree-5 space over indices {2,...,6} and its distinguished basis
 
@@ -199,12 +181,8 @@ BASIS_PERMS = tuple((i1, i2, i3, i4, 6) for (i1, i2, i3, i4) in sorted(permutati
 def to_basis(t: CommTree) -> dict:
     """The unique integer coefficients expressing expand_tree(t) over
     the 24 right-most-index-6 basis commutators, keyed by leaf sequence
-    in lex order.  Degree-5 trees over {2..6} only.
-
-    Each basis commutator [i1,[i2,[i3,[i4,6]]]] expands to exactly one
-    monomial ending in 6, namely i1 i2 i3 i4 6, with coefficient +1, so
-    the coordinates are the coefficients of expand_tree(t) at its
-    monomials ending in 6; TreeError if they do not expand back to it."""
+    in lex order.  Degree-5 trees over {2..6} only.  They are read off
+    the monomials ending in 6; TreeError if they do not expand back."""
     leaves = check_multilinear(t)
     if sorted(leaves) != list(INDICES):
         raise TreeError(f"to_basis needs leaves {INDICES}, got {sorted(leaves)}")
@@ -215,10 +193,12 @@ def to_basis(t: CommTree) -> dict:
 
 
 def _read_off(t: CommTree) -> dict | None:
-    """The coefficients of expand_tree(t) at its monomials ending in 6, or
-    None unless that combination of basis commutators expands back to it."""
+    """The coefficients of expand_tree(t) at its monomials ending in its
+    largest leaf (6 in degree 5), or None unless that combination of
+    right-normed commutators expands back to it."""
     vec = expand_tree(t)
-    coeffs = {k: vec[k] for k in sorted(vec) if k[-1] == 6}
+    last = max(tree_leaves(t))
+    coeffs = {k: vec[k] for k in sorted(vec) if k[-1] == last}
     if combination_vector((c, p) for p, c in coeffs.items()) != vec:
         return None
     return coeffs
@@ -257,8 +237,8 @@ def render_combination(coeffs: dict) -> str:
 #
 # APPENDIX_RHS is the unique Jacobi/antisymmetry rewriting of each
 # labelled commutator; every row is machine-verified against the
-# expansion map.  PRINTED_RHS, taken as vectors over the formal
-# 120-dimensional space, is what the dependency computation
+# expansion map.  PRINTED_RHS, taken as coordinate vectors over the
+# 24-commutator basis, is what the dependency computation
 # (verify_lemma_w) runs on: those vectors sum to zero, which is the
 # recorded dependency statement.
 
@@ -364,57 +344,76 @@ def appendix_report() -> dict:
     }
 
 
+def _coordinates(terms: Iterable[tuple]) -> list:
+    """The 24 coordinates, in BASIS_PERMS order, of a signed combination
+    of basis commutators (KeyError, a defect, for any other)."""
+    coords = dict.fromkeys(BASIS_PERMS, 0)
+    for c, perm in terms:
+        coords[perm] += c
+    return list(coords.values())
+
+
 def verify_lemma_w() -> dict:
     """The dimension/intersection computation for the element w.
 
     Stacks the fifteen generators' images -- their tabulated rewriting
-    vectors, expanded to tensor coordinates -- into a 15 x 120 matrix
-    and reports its rank and left kernel.  Rank 14 with kernel spanned
-    by the all-ones vector says exactly that the product of the fifteen
-    generators (each with exponent +1) dies in the quotient while no
-    smaller sub-product does.
+    rows, as coordinates over the 24 basis commutators -- into a 15 x 24
+    matrix and reports its rank and left kernel, which are the 15 x 120
+    tensor matrix's once basis_rank() is 24.  Rank 14 with kernel
+    spanned by the all-ones vector says exactly that the product of the
+    fifteen generators (each with exponent +1) dies in the quotient
+    while no smaller sub-product does.
 
-    The report also cross-checks each generator label's direct
-    expansion against its table vector; the four flagged rows fail that
-    check (the source table's slips), and the direct expansions by
+    The report also cross-checks each generator label's read-off
+    coordinates against its table row; the four flagged rows fail that
+    check (the source table's slips), and the labels' coordinates by
     themselves are linearly independent.  Both facts are reported
-    rather than repaired silently.
+    rather than repaired silently; a label that does not read off
+    matches no row and leaves literal_label_rank None.
     """
-    printed_vectors = [combination_vector(PRINTED_RHS[k]) for k in range(1, 16)]
-    m = _tensor_matrix(printed_vectors, INDICES)
+    printed = [_coordinates(PRINTED_RHS[k]) for k in range(1, 16)]
+    m = RationalMatrix(printed)
     rank, kernel = m.rank(), m.left_kernel()
     all_ones = bool(kernel) and all(x == kernel[0][0] for x in kernel[0])
 
-    label_vectors = [expand_tree(t) for t in LEMMA_GENERATORS]
-    label_matches = [lv == pv for lv, pv in zip(label_vectors, printed_vectors)]
-    literal_rank = _tensor_matrix(label_vectors, INDICES).rank()
+    labels = [_read_off(t) for t in LEMMA_GENERATORS]
+    labels = [c if c is None else _coordinates((v, p) for p, v in c.items()) for c in labels]
+    literal_rank = None if None in labels else RationalMatrix(labels).rank()
 
     return {
         "rank": rank,
         "kernel_dim": len(kernel),
         "kernel": "all-ones" if all_ones else [[str(x) for x in v] for v in kernel],
         "quotient_dim": quotient_dim(),
-        "generator_label_matches_table": label_matches,
+        "generator_label_matches_table": [lv == pv for lv, pv in zip(labels, printed)],
         "literal_label_rank": literal_rank,
         "transcription_flags": list(TRANSCRIPTION_FLAGS),
     }
 
 
-def quotient_dim() -> int | None:
-    """Rank of the 120 right-normed expansions (the quotient dimension).
-    They include the 24 basis rows, so if each is the combination read
-    off its expansion the rank is basis_rank(); else None."""
-    spanned = all(_read_off(right_normed(p)) is not None for p in permutations(INDICES))
-    return basis_rank() if spanned else None
+def quotient_dim(indices: Iterable[int] = INDICES) -> int | None:
+    """Rank of the d! right-normed expansions over `indices`, read off:
+    the (d-1)! ending in the largest index when each of those reads off
+    as itself (an identity block, so they are independent) and every
+    other one reads off as their combination (so it is in their span);
+    otherwise None."""
+    idx = sorted(indices)
+    read = {p: _read_off(right_normed(p)) for p in permutations(idx)}
+    basis = [p for p in read if p[-1] == idx[-1]]
+    if None in read.values() or any(read[p] != {p: 1} for p in basis):
+        return None
+    return len(basis)
 
 
-def basis_rank() -> int:
-    """Rank of the 24 distinguished basis expansions."""
-    return _tensor_matrix((expand_tree(right_normed(p)) for p in BASIS_PERMS), INDICES).rank()
+def basis_rank() -> int | None:
+    """Rank of the 24 basis expansions: 24 when each reads off as itself
+    (they form the identity on the monomials ending in 6), else None."""
+    ok = all(_read_off(right_normed(p)) == {p: 1} for p in BASIS_PERMS)
+    return len(BASIS_PERMS) if ok else None
 
 
 def render_lemma_report(report: dict) -> str:
-    lines = [
+    lines = [  # the 15 x 24 coordinate rank is the 15 x 120 one
         f"rank of the 15x120 generator matrix: {report['rank']} (expected 14)",
         f"left-kernel dimension: {report['kernel_dim']} (expected 1)",
         f"kernel vector: {report['kernel']} (expected all-ones)",

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, exit codes, JSON stability, schema."""
 
 import contextlib
+import functools
 import importlib.resources
 import io
 import json
@@ -388,19 +389,46 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
-def test_quotient_dim_failure_fails_lemma41(capsys, monkeypatch):
-    # push one right-normed expansion out of the basis span: the
-    # read-off proof fails, and that is a failed certificate (exit 1),
-    # not an input error (2) or a defect (3)
-    bad = lie.right_normed((6, 5, 4, 3, 2))
+def test_printed_row_off_the_basis_is_a_defect(capsys, monkeypatch):
+    # the 15 x 24 rank reads PRINTED_RHS as basis coordinates, so a
+    # leaf sequence that is not a basis commutator is a table defect
+    monkeypatch.setitem(lie.PRINTED_RHS, 1, ((1, (2, 3, 4, 6, 5)),))
+    code, out, err = run(capsys, "verify", "lemma41")
+    assert code == 3 and out == ""
+    assert err == "internal error: KeyError: (2, 3, 4, 6, 5)\n"
+
+
+@pytest.mark.parametrize("perm, monomial, failed", [
+    # a basis commutator: it no longer reads off as itself
+    ((2, 3, 4, 5, 6), (3, 2, 4, 5, 6), ("basis_rank", "quotient_dim")),
+    # a non-basis degree-5 commutator: it leaves the basis span
+    ((6, 5, 4, 3, 2), (2, 3, 4, 6, 5), ("quotient_dim",)),
+    # a degree-4 commutator: it leaves the span of the [i,[j,[k,5]]]
+    ((5, 4, 3, 2), (2, 3, 5, 4), ("small_degree_ranks.4",)),
+], ids=["basis", "degree5", "degree4"])
+def test_quotient_dim_failure_fails_lemma41(capsys, monkeypatch, perm, monomial, failed):
+    # push one right-normed expansion off the basis span: the read-off
+    # proof fails, and that is a failed certificate (exit 1), not an
+    # input error (2) or a defect (3)
+    bad = lie.right_normed(perm)
     expand = lie.expand_tree
     monkeypatch.setattr(
-        lie, "expand_tree", lambda t: {**expand(t), (2, 3, 4, 6, 5): 7} if t == bad else expand(t)
+        lie, "expand_tree", lambda t: {**expand(t), monomial: 7} if t == bad else expand(t)
     )
-    assert lie.quotient_dim() is None
+    # a fresh cache of basis expansions, dropped with the patch
+    monkeypatch.setattr(
+        lie, "_right_normed_expansion", functools.cache(lie._right_normed_expansion.__wrapped__)
+    )
+    code, report, err = run_json(capsys, "verify", "lemma41", "--json")
+    assert code == 1 and err == "" and not report["passed"]
+    payload = report["payload"]
+    none = {k for k in ("basis_rank", "quotient_dim") if payload[k] is None}
+    none |= {f"small_degree_ranks.{d}" for d, r in payload["small_degree_ranks"].items() if r is None}
+    assert none == set(failed)
     code, out, err = run(capsys, "verify", "lemma41")
     assert code == 1 and err == ""
-    assert "quotient dimension: None (expected 24)" in out.splitlines()
+    quotient = payload["quotient_dim"]
+    assert f"quotient dimension: {quotient} (expected 24)" in out.splitlines()
     assert out.splitlines()[-1] == "verdict: FAIL"
 
 

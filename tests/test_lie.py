@@ -1,10 +1,12 @@
 """Tensor expansion of bracket trees, exact linear algebra, and the
 dimension/intersection computations."""
 
+import functools
 import math
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from magnus_reference import degree_part
@@ -20,7 +22,6 @@ from commcalc.lie import (
     RationalMatrix,
     TreeError,
     basis_rank,
-    build_expansion_matrix,
     comm_expr_to_tree,
     combination_vector,
     expand_tree,
@@ -92,15 +93,31 @@ def test_jacobi_random_disjoint_subtrees():
         assert not any(total.values())
 
 
+def expansion_matrix(perms, indices) -> RationalMatrix:
+    """Rows: the expansions of the right-normed commutators `perms`.
+    Columns: the permutation monomials over `indices` in lex order.
+    Built here, so that its elimination checks the read-off ranks."""
+    cols = {c: j for j, c in enumerate(permutations(sorted(indices)))}
+    rows = []
+    for p in perms:
+        row = [0] * len(cols)
+        for k, v in expand_tree(right_normed(p)).items():
+            row[cols[k]] = v
+        rows.append(row)
+    return RationalMatrix(rows)
+
+
 @pytest.mark.parametrize("d,expected", [(2, 1), (3, 2), (4, 6)])
 def test_small_degree_ranks(d, expected):
-    m = build_expansion_matrix(range(2, 2 + d))
+    indices = range(2, 2 + d)
+    m = expansion_matrix(permutations(indices), indices)
     assert m.shape == (math.factorial(d), math.factorial(d))
     assert m.rank() == expected == math.factorial(d - 1)
+    assert lie.quotient_dim(indices) == expected
 
 
 def test_full_degree5_matrix():
-    m = build_expansion_matrix(INDICES)
+    m = expansion_matrix(permutations(INDICES), INDICES)
     assert m.shape == (120, 120)
     rank, kernel = m.rank(), m.left_kernel()
     assert rank == 24
@@ -124,13 +141,14 @@ def test_non_integer_entries_rejected():
 
 
 def test_rank_kernel_deterministic():
-    m1 = build_expansion_matrix(range(2, 6))
-    m2 = build_expansion_matrix(range(2, 6))
+    m1 = expansion_matrix(permutations(range(2, 6)), range(2, 6))
+    m2 = expansion_matrix(permutations(range(2, 6)), range(2, 6))
     assert (m1.rank(), m1.left_kernel()) == (m2.rank(), m2.left_kernel())
 
 
 def test_basis_rank_is_24():
     assert basis_rank() == 24
+    assert expansion_matrix(BASIS_PERMS, INDICES).rank() == 24
 
 
 def test_to_basis_on_basis_element():
@@ -163,8 +181,6 @@ def test_every_right_normed_generator_lies_in_basis_span():
     # spanning half of the basis statement: all 120 right-normed
     # commutators, and 300 random degree-5 trees, rewrite over the 24
     # distinguished ones
-    from itertools import permutations
-
     t0 = time.perf_counter()
     rng = random.Random(2718)
     trees = [right_normed(perm) for perm in permutations(INDICES)]
@@ -186,6 +202,17 @@ def test_to_basis_span_check(monkeypatch):
     monkeypatch.setattr(lie, "combination_vector", lambda terms: {})
     with pytest.raises(TreeError, match="outside the span"):
         to_basis(right_normed((2, 3, 4, 5, 6)))
+
+
+def test_zero_expansion_map_proves_no_rank(monkeypatch):
+    # every read-off of the zero map expands back (0 = 0), so the ranks
+    # rest on each basis commutator reading off as itself
+    monkeypatch.setattr(lie, "expand_tree", lambda t: {})
+    monkeypatch.setattr(
+        lie, "_right_normed_expansion", functools.cache(lie._right_normed_expansion.__wrapped__)
+    )
+    assert basis_rank() is None
+    assert all(lie.quotient_dim(range(2, 2 + d)) is None for d in (2, 3, 4, 5))
 
 
 def test_appendix_identities_all_verify():
@@ -228,6 +255,20 @@ def test_lemma_w_report():
     assert report["generator_label_matches_table"] == [True] * 11 + [False] * 4
     assert report["literal_label_rank"] == 15
     assert report["transcription_flags"] == [12, 13, 14, 15]
+
+
+def test_lemma_w_reports_a_label_outside_the_basis_span(monkeypatch):
+    # a label whose expansion does not read off is reported as matching
+    # no row, and the labels' rank as unknown; it is not dropped
+    bad = LEMMA_GENERATORS[0]
+    expand = lie.expand_tree
+    monkeypatch.setattr(
+        lie, "expand_tree", lambda t: {**expand(t), (2, 3, 4, 6, 5): 1} if t == bad else expand(t)
+    )
+    report = verify_lemma_w()
+    assert report["rank"] == 14 and report["quotient_dim"] == 24
+    assert report["generator_label_matches_table"] == [False] + [True] * 10 + [False] * 4
+    assert report["literal_label_rank"] is None
 
 
 def test_lemma_generators_have_expected_labels():

@@ -80,17 +80,26 @@ def matrix(exprs, indices):
     return sympy.Matrix(rows)
 
 
+def coordinates(rows):
+    """Rows: coefficients on the 24 basis commutators [i1,[i2,[i3,[i4,6]]]],
+    in lex order of their leaf sequences, taken as given."""
+    basis = sorted(p for p in permutations(INDICES) if p[-1] == 6)
+    return sympy.Matrix([[sum(c for c, q in row if q == p) for p in basis] for row in rows])
+
+
 def test_printed_rows_rank_14_with_all_ones_left_kernel():
     exprs = [
         sympy.expand_mul(sympy.Add(*(c * right_normed_bracket(p) for c, p in PRINTED_RHS[k])))
         for k in range(1, 16)
     ]
-    m = matrix(exprs, INDICES)
-    assert m.shape == (15, 120)
-    assert m.rank() == 14
-    kernel = m.T.nullspace()
-    assert len(kernel) == 1
-    assert list(kernel[0] / kernel[0][0]) == [1] * 15
+    # on the 120 tensor columns, and on the 24 coordinates the engine ranks
+    for m, width in ((matrix(exprs, INDICES), 120),
+                     (coordinates(PRINTED_RHS[k] for k in range(1, 16)), 24)):
+        assert m.shape == (15, width)
+        assert m.rank() == 14
+        kernel = m.T.nullspace()
+        assert len(kernel) == 1
+        assert list(kernel[0] / kernel[0][0]) == [1] * 15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -104,7 +113,11 @@ def test_expansion_matrix_rank_is_factorial(d):
 
 
 def test_direct_label_expansions_have_rank_15():
-    assert matrix([bracket(t) for t in LEMMA_GENERATORS], INDICES).rank() == 15
+    m = matrix([bracket(t) for t in LEMMA_GENERATORS], INDICES)
+    assert m.rank() == 15
+    # the labels' 24 coordinates: their coefficients on the monomials ending in 6
+    ending_in_6 = [j for j, p in enumerate(sorted(permutations(INDICES))) if p[-1] == 6]
+    assert m.extract(list(range(15)), ending_in_6).rank() == 15
 
 
 def _integer_matrices(rng):

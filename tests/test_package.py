@@ -24,8 +24,8 @@ REEXPORTS = {
             "UnmappedGeneratorError", "WordError", "commutator", "expr_to_word",
             "parse_expr", "print_expr", "substitute"],
     magnus: ["MagnusPoly", "VariableSet", "expand", "is_trivial_word", "lcs_degree"],
-    lie: ["RationalMatrix", "TreeError", "build_expansion_matrix", "expand_tree",
-          "right_normed", "to_basis", "verify_appendix_identity", "verify_lemma_w"],
+    lie: ["RationalMatrix", "TreeError", "expand_tree", "right_normed", "to_basis",
+          "verify_appendix_identity", "verify_lemma_w"],
     obstruction: ["PoleError", "QSqrt3", "evaluate", "integer_search", "obstruction_system",
                   "verify_family"],
     hopf: ["HopfScenario", "InadmissibleSubstitutionError", "find_substitutions",

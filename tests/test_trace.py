@@ -52,7 +52,8 @@ CASES = [
 ]
 
 
-def traced_counts(argv: list) -> dict:
+def traced_spans(argv: list) -> list:
+    """The spans of one traced run, which must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
@@ -66,8 +67,11 @@ def traced_counts(argv: list) -> dict:
         assert proc.returncode == 0, proc.stderr
         json.loads(proc.stdout)
         spans_file.seek(0)
-        spans = json.load(spans_file)
-    metrics = LAYERS["command_metrics"](spans, 0.0)
+        return json.load(spans_file)
+
+
+def traced_counts(argv: list) -> dict:
+    metrics = LAYERS["command_metrics"](traced_spans(argv), 0.0)
     names = {*LAYERS["CALLS"], *LAYERS["COUNTS"]}
     return {k: v for k, v in metrics.items() if k in names and v}
 
@@ -78,3 +82,11 @@ def traced_counts(argv: list) -> dict:
 )
 def test_tracer_counts(argv, counts):
     assert traced_counts(argv) == counts
+
+
+def test_tracer_times_the_lemma_elimination():
+    # lie.rank_ms sums the spans of the two elimination methods
+    spans = traced_spans(["verify", "lemma41", "--json"])
+    names = {span[0] for span in spans}
+    assert {"lie.RationalMatrix.rank", "lie.RationalMatrix.left_kernel"} <= names
+    assert LAYERS["command_metrics"](spans, 0.0)["lie.rank_ms"] > 0
