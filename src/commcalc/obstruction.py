@@ -1,6 +1,6 @@
 """The 14-equation band-sum obstruction system: exact evaluation, the
 three parametric solution families over Q(sqrt 3), and an exact bounded
-search certifying the absence of small integer solutions.
+search, which refutes the full system mod 2 and so at every bound.
 
 A row is an Equation, a named tuple (label, terms, target) whose terms
 are (coefficient, variable names) pairs in source order; the system is
@@ -19,7 +19,11 @@ product, the variable order is planned from the rows, the last
 variable a block's rows end at is solved rather than enumerated -- the
 last two together, by Cramer's rule, where two of its rows are jointly
 linear in them -- and a block whose rows read only its own variables
-is solved once and reused.
+is solved once and reused.  Before a component is enumerated, its
+rows are solved mod 2 over the 2^n parity vectors of its variables; if
+none fits, no integer point can, and the component is refuted at every
+bound.  The full system is refuted this way, so its search costs the
+same at any bound.
 
 The system lives in 12 variables a3,a4,a5,a6,b1,b2,b5,b6,c1,c2,c3,c4
 (the homological band-sum multiplicities; the missing a1,a2,b3,b4,c5,c6
@@ -492,6 +496,12 @@ def integer_search(
       rows read only its own variables -- {(4),(7)} and {(12),(15)} in
       the full system -- is solved once, and its local solutions are
       reused under every solution of the blocks before it.
+    * Before any of that, each component is solved mod 2 (see
+      _parity_solvable): every integer solution reduces to a parity
+      vector that satisfies every row mod 2, so a component with none
+      has no solution at any bound and is not enumerated.  The full
+      system has none, so its search takes the same few hundred nodes
+      at every bound.
 
     Returns (variables in canonical order, sorted solution tuples).
     Unknown row labels, and more than MAX_SOLUTIONS solutions, raise
@@ -567,6 +577,25 @@ def _search_order(rows: list) -> tuple[tuple[str, ...], list]:
     return tuple(order), plan
 
 
+def _parity_solvable(order, ending) -> bool:
+    """Whether the rows of a component plan have a common solution mod 2:
+    a depth-first walk over {0, 1} along `order` that checks each row of
+    `ending` (depth -> [(terms over depths, target)]) as it closes."""
+    val = [0] * len(order)
+
+    def walk(d: int) -> bool:
+        if d == len(order):
+            return True
+        for bit in (0, 1):
+            val[d] = bit
+            if all((_value(terms, val) - t) % 2 == 0 for terms, t in ending.get(d, ())):
+                if walk(d + 1):
+                    return True
+        return False
+
+    return walk(0)
+
+
 def _split(terms, i) -> tuple[list, list]:
     """(coefficient of depth i, the other terms) of terms linear in depth i."""
     return ([(c, tuple(j for j in idxs if j != i)) for c, idxs in terms if i in idxs],
@@ -589,6 +618,8 @@ def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tup
         terms = [(c, tuple(depth_of[v] for v in m)) for (c, m) in eq.terms]
         last = max(i for _, idxs in terms for i in idxs)
         ending.setdefault(last, []).append((terms, eq.target))
+    if not _parity_solvable(order, ending):
+        return order, []  # every integer solution reduces to one mod 2
 
     blocks = []  # (lo, last, first row split at last, check rows, pair or None)
     lo = 0

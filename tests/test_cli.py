@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from search_reference import reference_search
@@ -492,21 +493,41 @@ def test_schema_check_catches_defects():
     assert schema_problems(dict(good, extra=1)) == ["unexpected key 'extra'"]
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # both cost start-up in every process and commcalc uses neither
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for
+    a fresh CLI process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(pathlib.Path(__file__).resolve().parent.parent / "src"),
          *filter(None, [env.get("PYTHONPATH")])]
     )
+    return env
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # both cost start-up in every process and commcalc uses neither
     probe = ("import sys; before = set(sys.modules); import commcalc.cli; "
              "print(*sorted(set(sys.modules) - before))")
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert "commcalc.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+def test_full_system_search_costs_the_same_at_any_bound():
+    # the rows have no common solution mod 2, so the search refutes the
+    # full system before it enumerates; at this bound enumeration would
+    # not finish
+    argv = ["system", "search", "--bound", "1000000", "--json"]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "commcalc.cli", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 10.0
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["count"] == 0 and payload["solutions"] == []
 
 
 @pytest.mark.parametrize("stderr_to_stdout", [False, True])
@@ -520,18 +541,13 @@ def test_closed_stdout_keeps_the_verdict_code(tmp_path, argv, code, stderr_to_st
     # the first write, and the exit code is still the verdict's
     failing = tmp_path / "assign.txt"
     failing.write_text(SAMPLE_FILE.replace("c3 = -1/4", "c3 = 1/4"))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(pathlib.Path(__file__).resolve().parent.parent / "src"),
-         *filter(None, [env.get("PYTHONPATH")])]
-    )
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "commcalc.cli", *(a.format(failing=failing) for a in argv)],
             stdout=write_end, stderr=subprocess.STDOUT if stderr_to_stdout else subprocess.PIPE,
-            env=env, timeout=60,
+            env=src_env(), timeout=60,
         )
     finally:
         os.close(write_end)

@@ -438,3 +438,160 @@ def test_subsystem_without_a_coupled_pair_is_fast():
     found = integer_search(2, [6, 14])
     assert time.perf_counter() - t0 < 1.0
     assert found == reference_search(2, [6, 14])
+
+
+# --- parity: the full system has no solution mod 2 -------------------------
+
+#: the coupled pairs, and the cubic rows in the order the witness table
+#: checks them
+COUPLED = ((2, 3), (4, 7), (12, 15))
+CUBIC = (5, 6, 8, 10, 9, 11, 13, 14)
+
+#: rows (2)-(15) from the second transcription, the solver lines;
+#: row (9)'s line ends in an extra "== 1" and is parsed all the same
+SOLVER_ROWS = {label: obstruction._parse_solver_line(line)[:2]
+               for label, line in enumerate(obstruction._SOLVER_LINES, start=2)}
+
+
+def parity_set(terms, target) -> int:
+    """The parity vectors at which a row holds mod 2, as a 4096-bit
+    int: bit p is set when the row holds with VARIABLES[i] = bit i of p."""
+    masks = [sum(1 << VARIABLES.index(v) for v in mono) for _, mono in terms]
+    holds = ((sum(p & m == m for m in masks) - target) % 2 == 0 for p in range(4096))
+    return int("".join("1" if ok else "0" for ok in holds)[::-1], 2)
+
+
+PARITY = {label: parity_set(*row) for label, row in SOLVER_ROWS.items()}
+
+
+def common_parity(labels) -> int:
+    """The parity vectors at which every solver row with these labels
+    holds, as a 4096-bit int."""
+    common = (1 << 4096) - 1
+    for label in labels:
+        common &= PARITY[label]
+    return common
+
+
+def brute_solvable(labels) -> bool:
+    return common_parity(labels) != 0
+
+
+def parity_solvable(rows) -> bool:
+    """_parity_solvable's verdict on rows, each component planned as
+    _search_component plans it."""
+    for component in obstruction._components(list(rows)):
+        order, plan = obstruction._search_order(component)
+        ending: dict = {}
+        for eq in plan:
+            terms = [(c, tuple(order.index(v) for v in mono)) for c, mono in eq.terms]
+            last = max(i for _, idxs in terms for i in idxs)
+            ending.setdefault(last, []).append((terms, eq.target))
+        if not obstruction._parity_solvable(order, ending):
+            return False
+    return True
+
+
+def test_solver_rows_have_no_common_parity_vector():
+    assert [label for label, line in enumerate(obstruction._SOLVER_LINES, start=2)
+            if obstruction._parse_solver_line(line)[2]] == [9]
+    assert sorted(SOLVER_ROWS) == list(range(2, 16))
+    assert not brute_solvable(SOLVER_ROWS)
+
+
+def test_parity_witness_table():
+    # each coupled pair reads four variables and holds at 4 of their 16
+    # parity vectors (times the 2^8 free values of the other eight)
+    for pair in COUPLED:
+        names = {v for label in pair for _, mono in SOLVER_ROWS[label][0] for v in mono}
+        assert len(names) == 4
+        assert (PARITY[pair[0]] & PARITY[pair[1]]).bit_count() == 4 * 2**8
+    # the pairs cover all twelve variables, so they leave 4^3 vectors,
+    # and each fails a cubic row; the first failing row, in this order:
+    combos = common_parity(label for pair in COUPLED for label in pair)
+    vectors = [p for p in range(4096) if combos >> p & 1]
+    assert len(vectors) == 64
+    first = [next(label for label in CUBIC if not PARITY[label] >> p & 1) for p in vectors]
+    assert [first.count(label) for label in CUBIC] == [26, 10, 8, 6, 4, 4, 4, 2]
+
+
+#: the minimal row sets with no parity solution: the cubic rows and one
+#: row of each coupled pair
+CORES = [CUBIC + picks for picks in itertools.product(*COUPLED)]
+
+
+def test_parity_precheck_agrees_with_brute_force():
+    labels = range(2, 16)
+    subsets = [*(s for size in (1, 2, 3) for s in itertools.combinations(labels, size)),
+               *itertools.combinations(labels, 13), *CORES]
+    assert len(subsets) == 14 + 91 + 364 + 14 + 8
+    for subset in subsets:
+        assert parity_solvable(rows_of(subset)) == brute_solvable(subset), subset
+
+
+def test_minimal_parity_cores():
+    # every row set with no parity solution holds one of the 8 cores
+    refuted = [s for size in range(15) for s in itertools.combinations(range(2, 16), size)
+               if not brute_solvable(s)]
+    minimal = [s for s in refuted
+               if all(brute_solvable(set(s) - {label}) for label in s)]
+    assert sorted(map(sorted, minimal)) == sorted(map(sorted, CORES))
+    # so dropping a pair row keeps the system refuted, and dropping any
+    # cubic row lets parity solutions in
+    for label in range(2, 16):
+        rest = [other for other in range(2, 16) if other != label]
+        assert parity_solvable(rows_of(rest)) == (label in CUBIC), label
+
+
+def test_without_row_6_an_integer_point_solves_the_rest():
+    point = dict(zip(VARIABLES, (-1, 2, -1, -1, 1, -1, -1, 0, 0, -1, 1, 1)))
+    residuals = evaluate(obstruction_system(), point)
+    assert {k: v for k, v in residuals.items() if not v.is_zero()} == {6: QSqrt3(-3)}
+    rest = [label for label in range(1, 16) if label != 6]
+    canon, sols = integer_search(2, rest)
+    assert canon == VARIABLES and tuple(point.values()) in sols
+
+
+def test_factored_search_still_finds_nothing_on_the_full_system(monkeypatch):
+    # with the pre-check passing every component, the full system goes
+    # through the block enumeration the parity refutation now skips
+    monkeypatch.setattr(obstruction, "_parity_solvable", lambda order, ending: True)
+    for bound in range(4):
+        assert integer_search(bound) == reference_search(bound) == (VARIABLES, [])
+    assert integer_search(6)[1] == []
+
+
+def _mutated(label, change) -> list:
+    """Rows (2)-(15) of the equation table with row `label` replaced by
+    change(row); obstruction_system() would refuse them as drift."""
+    return [change(eq) if eq.label == label else eq for eq in obstruction._TABLE[1:]]
+
+
+def _flip_sign(k):
+    return lambda eq: eq._replace(
+        terms=tuple((-c if i == k else c, mono) for i, (c, mono) in enumerate(eq.terms)))
+
+
+def _drop_term(k):
+    return lambda eq: eq._replace(terms=eq.terms[:k] + eq.terms[k + 1:])
+
+
+def _target_0(eq):
+    return eq._replace(target=0)
+
+
+@pytest.mark.parametrize("label", range(2, 16))
+def test_parity_refutation_is_blind_to_signs(label):
+    for k in range(2):
+        assert not parity_solvable(_mutated(label, _flip_sign(k)))
+
+
+@pytest.mark.parametrize("label", range(2, 16))
+def test_parity_refutation_needs_every_cubic_row(label):
+    # a cubic row with target 0, or with one monomial dropped, lets
+    # parity solutions in; the same change to a pair row does not
+    others = common_parity(other for other in range(2, 16) if other != label)
+    for change in (_target_0, _drop_term(0), _drop_term(1)):
+        row = change(obstruction._TABLE[label - 1])
+        assert (others & parity_set(row.terms, row.target) != 0) == (label in CUBIC)
+        assert parity_solvable(_mutated(label, change)) == (label in CUBIC)
