@@ -135,8 +135,8 @@ def _appendix_payload() -> dict:
 def _hopf_payload() -> dict:
     payload = hopf.verify_hopf_triviality()
     payload["substitutions_bound1"] = [list(t) for t in hopf.find_substitutions(1)]
-    payload["twisted_band"] = hopf.twisted_band_report()
-    payload["twisted_band"]["found"] = [list(t) for t in payload["twisted_band"]["found"]]
+    twisted = [list(t) for t in hopf.find_substitutions(2, twisted=True)]
+    payload["twisted_band"] = {"bound": 2, "found": twisted, "solvable": bool(twisted)}
     payload["passed"] = (
         payload["all_passed"]
         and [1, 1, -1] in payload["substitutions_bound1"]
@@ -423,11 +423,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # a WordError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # evaluated only for errors the clause above lets through, so that
-    # an input error loads no layer
-    except obstruction.PoleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -390,6 +390,18 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_pole_error_is_a_defect(capsys, monkeypatch):
+    # no CLI path evaluates a family on its pole set, so a PoleError
+    # that reaches main is a defect in commcalc, not an input error
+    def on_pole(k):
+        raise obstruction.PoleError("family evaluated on its pole set (b1=0 or b5=0)")
+
+    monkeypatch.setattr(obstruction, "verify_family", on_pole)
+    code, out, err = run(capsys, "verify", "families")
+    assert code == 3 and out == ""
+    assert err == "internal error: PoleError: family evaluated on its pole set (b1=0 or b5=0)\n"
+
+
 def test_printed_row_off_the_basis_is_a_defect(capsys, monkeypatch):
     # the 15 x 24 rank reads PRINTED_RHS as basis coordinates, so a
     # leaf sequence that is not a basis commutator is a table defect

@@ -1,15 +1,15 @@
 """End-to-end certification for the two-component scenario."""
 
 import itertools
+import math
 
 import pytest
 
-from commcalc import magnus
+from commcalc import hopf, magnus
 from commcalc.hopf import (
     HopfScenario,
     InadmissibleSubstitutionError,
     find_substitutions,
-    twisted_band_report,
     verify_hopf_triviality,
 )
 from commcalc.words import Alphabet, GroupWord, parse_expr, expr_to_word
@@ -103,45 +103,78 @@ MUL_TABLE = [
 ]
 
 
-def _dense_mul(u, v):
-    out = [0] * len(MONOS)
-    for i, x in enumerate(u):
-        if x:
-            row = MUL_TABLE[i]
-            for j, y in enumerate(v):
-                if y and row[j] is not None:
-                    out[row[j]] += x * y
-    return out
-
-
 def _dense_trivial(word) -> bool:
-    acc = [0] * len(MONOS)
-    acc[0] = 1
+    # right-multiply by 1 + s x_g one letter at a time
+    one = [1] + [0] * (len(MONOS) - 1)
+    acc = one
     for g, s in word.letters:
-        vec = [0] * len(MONOS)
-        vec[0] = 1
-        vec[MONO_INDEX[(int(g[1:]),)]] = s
-        acc = _dense_mul(acc, vec)
-    return acc[0] == 1 and not any(acc[1:])
+        col = MONO_INDEX[(int(g[1:]),)]
+        step = acc[:]
+        for i, c in enumerate(acc):
+            if c and MUL_TABLE[i][col] is not None:
+                step[MUL_TABLE[i][col]] += s * c
+        acc = step
+    return acc == one
 
 
-def test_bound_2_matches_dense_brute_force_oracle():
-    scenario = HopfScenario()
-    expected = []
-    for s3, s4, t in itertools.product(range(-2, 3), repeat=3):
-        word = scenario.build_substituted_l1(scenario.power_substitution(s3, s4, t))
-        if _dense_trivial(word):
-            expected.append((s3, s4, t))
-    assert find_substitutions(2) == expected
-    assert expected == [(-1, -1, 1), (1, 1, -1)]
+#: The trivializing substitutions of each longitude, at every bound.
+SOLUTIONS = {False: [(-1, -1, 1), (1, 1, -1)], True: [(-1, 1, -1), (1, -1, 1)]}
+
+
+def _dense_search(bound, twisted=False):
+    """The box search the corner read-off replaced, on arithmetic that
+    shares no code with magnus.expand."""
+    scenario = HopfScenario(twisted=twisted)
+    rng = range(-bound, bound + 1)
+    return [
+        point
+        for point in itertools.product(rng, repeat=3)
+        if _dense_trivial(scenario.build_substituted_l1(scenario.power_substitution(*point)))
+    ]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_find_substitutions_matches_dense_brute_force_oracle(twisted, bound):
+    expected = _dense_search(bound, twisted)
+    assert find_substitutions(bound, twisted) == expected
+    assert expected == SOLUTIONS[twisted]
+
+
+@pytest.mark.parametrize("text", ["[a,b]", "[[m3,a],b*m2]", "[a*m4,[b^-1,m3]]"])
+def test_read_off_matches_the_oracle_on_other_longitudes(monkeypatch, text):
+    # the read-off needs only that a and b enter as power runs; at the
+    # corner (0,0,0) some monomials of these words vanish, so every
+    # corner's monomials must be checked
+    monkeypatch.setattr(hopf, "L1_TEXT", text)
+    assert find_substitutions(2) == _dense_search(2)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["plain", "twisted"])
+def test_coefficients_interpolate_from_the_eight_corners(twisted):
+    # each Magnus coefficient is multilinear in (s3, s4, t), so the
+    # corners of {0,1}^3 fix it at every point
+    scenario = HopfScenario(twisted=twisted)
+
+    def terms(point):
+        word = scenario.build_substituted_l1(scenario.power_substitution(*point))
+        return magnus.expand(word, scenario.vars).terms
+
+    corners = {c: terms(c) for c in itertools.product((0, 1), repeat=3)}
+    for point in itertools.product(range(-3, 4), repeat=3):
+        interpolated: dict = {}
+        for c, corner in corners.items():
+            weight = math.prod(x if ci else 1 - x for ci, x in zip(c, point))
+            for k, v in corner.items():
+                interpolated[k] = interpolated.get(k, 0) + weight * v
+        assert terms(point) == {k: v for k, v in interpolated.items() if v}, point
 
 
 def test_twisted_band_variant_is_solvable():
-    report = twisted_band_report(2)
-    assert report["solvable"]
-    assert report["found"] == [(-1, 1, -1), (1, -1, 1)]
+    found = find_substitutions(2, twisted=True)
+    assert found == [(-1, 1, -1), (1, -1, 1)]
     # the untwisted solutions do not work on the twisted word
-    assert (1, 1, -1) not in report["found"]
+    assert (1, 1, -1) not in found
 
 
 def test_conjugation_invariance_of_substituted_words():
