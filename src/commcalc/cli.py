@@ -60,15 +60,16 @@ def cmd_magnus(args) -> int:
     word = words.expr_to_word(expr)
     poly = magnus.expand(word, vars_)
     degree = poly.min_degree()
+    text = poly.render()
     payload = {
         "expression": words.print_expr(expr),
         "vars": names,
-        "expansion": poly.render(),
+        "expansion": text,
         "is_trivial": poly.is_one(),
         "lcs_degree": "infinite" if degree is None else degree,
     }
     report = _report("magnus", True, payload, t0)
-    return _emit(report, [poly.render()], args.json)
+    return _emit(report, [text], args.json)
 
 
 def cmd_reduce(args) -> int:

@@ -123,12 +123,30 @@ def test_name_with_a_very_long_number_exits_2(capsys):
 
 
 def test_magnus_term_limit_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(magnus, "MAX_TERMS", 8)
+    monkeypatch.setattr(magnus, "MAX_TERMS", 16)
     code, out, _ = run(capsys, "magnus", "m1*m2*m3", "--vars", "m1,m2,m3,m4")
     assert (code, out.splitlines()[0]) == (0, "1 + x1 + x2 + x3 + x1x2 + x1x3 + x2x3 + x1x2x3")
     code, out, err = run(capsys, "magnus", "m1*m2*m3*m4", "--vars", "m1,m2,m3,m4", "--json")
     assert (code, out) == (2, "")
-    assert err == "error: Magnus expansion exceeds the limit of 8 terms over 4 variables\n"
+    assert err == "error: Magnus expansion exceeds the limit of 16 terms over 4 variables\n"
+
+
+def test_magnus_limit_counts_the_monomials_a_word_reaches(capsys):
+    twelve = ",".join(f"m{i}" for i in range(1, 13))
+    code, report, _ = run_json(capsys, "magnus", "m1*m2", "--vars", twelve, "--json")
+    assert (code, report["payload"]["expansion"]) == (0, "1 + x1 + x2 + x1x2")
+    # a monomial over 9 generators alone has 9! = 362 880 orderings
+    nine = [f"m{i}" for i in range(1, 10)]
+    code, out, err = run(capsys, "magnus", "*".join(nine), "--vars", ",".join(nine))
+    assert (code, out) == (2, "")
+    assert err == "error: Magnus expansion exceeds the limit of 200000 terms over 9 variables\n"
+
+
+def test_magnus_over_thousands_of_generators_exits_2(capsys):
+    names = [f"m{i}" for i in range(1, 5001)]
+    code, out, err = run(capsys, "magnus", "*".join(names), "--vars", ",".join(names))
+    assert (code, out) == (2, "")
+    assert err == "error: Magnus expansion exceeds the limit of 200000 terms over 5000 variables\n"
 
 
 def test_superscript_exponent_exits_2(capsys):

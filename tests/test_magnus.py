@@ -2,6 +2,9 @@
 
 import random
 import time
+import tracemalloc
+from itertools import groupby
+from operator import itemgetter
 
 import pytest
 from magnus_reference import degree_part, letter_by_letter, product
@@ -170,6 +173,15 @@ def test_runwise_expansion_matches_letter_by_letter_product():
     vars_ = VariableSet.from_generators(named.generators)
     w = _word_with_runs(rng, list(named.generators), 30)
     assert expand(w, vars_) == letter_by_letter(w, vars_)
+    # powers of both signs, up to |e| = 40 a run
+    for n in range(1, 6):
+        gens = list(SIX.generators[:n])
+        vars_ = VariableSet.from_generators(gens)
+        for _ in range(10):
+            w = GroupWord()
+            for _ in range(rng.randrange(1, 12)):
+                w = w * GroupWord.generator(rng.choice(gens), rng.choice((1, -1))) ** rng.randrange(2, 41)
+            assert expand(w, vars_) == letter_by_letter(w, vars_)
 
 
 def test_run_of_equal_letters_is_one_plus_e_x():
@@ -183,7 +195,8 @@ def test_run_of_equal_letters_is_one_plus_e_x():
 
 def test_long_word_over_six_generators_within_budget():
     # an 800-letter word over six generators fills the ring (1957 terms);
-    # letter by letter it took about 2.4 s, run by run about 0.1 s (budget 1.5 s)
+    # letter by letter it took about 2.4 s, run by run with packed
+    # coefficients about 0.01 s (budget 1.5 s)
     rng = random.Random(2030)
     gens = list(SIX.generators)
     w = GroupWord(tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(960)))
@@ -208,13 +221,140 @@ def test_term_limit_admits_the_full_ring_at_eight_generators():
 
 
 def test_term_limit_refuses_the_run_that_passes_it(monkeypatch):
-    monkeypatch.setattr(magnus, "MAX_TERMS", 8)
+    monkeypatch.setattr(magnus, "MAX_TERMS", 16)
     names = ["m1", "m2", "m3", "m4"]
     vars_ = VariableSet.from_generators(names)
-    # m1 m2 m3 reaches exactly 8 terms; the limit is on the count, not the letters
+    # m1 m2 m3 reaches the 8 subsets of {1,2,3}, which hold 1+1+1+1+2+2+2+6 =
+    # 16 slots, exactly the limit; the limit is on slots, not on letters
     assert len(expand(GroupWord((("m1", 1), ("m2", 1), ("m3", 1))), vars_).terms) == 8
+    # 5 slots: {}, {1}, {2}, {1,2}
     assert expand(GroupWord((("m1", 1),) * 50 + (("m2", -1),) * 50), vars_).terms == {
         (): 1, (1,): 50, (2,): -50, (1, 2): -2500,
     }
-    with pytest.raises(ValueError, match="exceeds the limit of 8 terms over 4 variables"):
+    with pytest.raises(ValueError, match="exceeds the limit of 16 terms over 4 variables"):
         expand(GroupWord(tuple((g, 1) for g in names)), vars_)
+
+
+def test_term_limit_counts_only_the_supports_a_word_reaches():
+    names = [f"m{i}" for i in range(1, 13)]
+    vars_ = VariableSet.from_generators(names)
+    # twelve variables, but the word reaches 4 slots
+    assert expand(GroupWord((("m1", 1), ("m2", 1))), vars_).terms == {
+        (): 1, (1,): 1, (2,): 1, (1, 2): 1,
+    }
+    # one monomial over 9 generators has 9! = 362 880 slots
+    with pytest.raises(ValueError, match="exceeds the limit of 200000 terms over 12 variables"):
+        expand(GroupWord(tuple((g, 1) for g in names[:9])), vars_)
+
+
+def test_a_support_whose_coefficients_cancel_reaches_nothing(monkeypatch):
+    # in m3 m2 m1 m2^-1 the x2 terms cancel before m3 is multiplied in,
+    # so {2, 3} is never reached: 14 slots, where reaching it makes 16
+    monkeypatch.setattr(magnus, "MAX_TERMS", 14)
+    a = Alphabet(["m1", "m2", "m3"])
+    assert expand(a.word("m3*m2*m1*m2^-1"), VariableSet.from_generators(a.generators)).terms == {
+        (): 1, (1,): 1, (3,): 1, (1, 2): -1, (2, 1): 1, (3, 1): 1, (3, 1, 2): -1, (3, 2, 1): 1,
+    }
+
+
+def test_refusal_stops_at_the_support_that_passes_the_limit():
+    # m9 (m1 ... m8)^8 fills the ring over m1..m8 before its first run
+    # is multiplied in; finishing that run would add 876 809 slots (a
+    # peak of about 12 MB at this width), so the expansion must stop at
+    # the first support that passes the limit
+    names = [f"m{i}" for i in range(1, 10)]
+    w = Alphabet(names).word("m9^50*(" + "*".join(f"{g}^50" for g in names[:8]) + ")^8")
+    vars_ = VariableSet.from_generators(names)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            expand(w, vars_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
+
+
+def test_many_distinct_generators_are_refused_quickly_in_little_memory():
+    # m1 ... m5000 reaches a monomial over 9 generators at its ninth run
+    # from the right; the work and memory before the refusal must not
+    # grow with the 5000 generators the word has not reached yet
+    names = [f"m{i}" for i in range(1, 5001)]
+    w = GroupWord(tuple((g, 1) for g in names))
+    vars_ = VariableSet.from_generators(names)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="exceeds the limit of 200000 terms over 5000 variables"):
+            expand(w, vars_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 0.04 s and 2.6 MB
+    assert time.perf_counter() - t0 < 1.5
+    assert peak < 8_000_000
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_largest_coefficient_of_a_longest_word(sign):
+    # 10^6 letters, the most a word may have: x1x2 is sign * 500 000^2
+    w = Alphabet(["m1", "m2"]).word(f"m1^500000*m2^{sign * 500_000}")
+    assert len(w) == 1_000_000
+    assert expand(w, VariableSet.from_generators(["m1", "m2"])).terms == {
+        (): 1, (1,): 500_000, (2,): sign * 500_000, (1, 2): sign * 250_000_000_000,
+    }
+
+
+def _runwise(w: GroupWord, vars_: VariableSet) -> MagnusPoly:
+    """The ring product of the runs' 1 + e x, in the reference ring."""
+    p = MagnusPoly({(): 1})
+    for g, run in groupby(w.letters, key=itemgetter(0)):
+        p = product(p, MagnusPoly({(): 1, (vars_.index_of(g),): sum(s for _, s in run)}))
+    return p
+
+
+def test_coefficients_wider_than_one_machine_word():
+    # runs of thousands of letters push coefficients past 2^64, so a
+    # slot spans two or three 64-bit words, with both signs in one support
+    a = Alphabet([f"m{i}" for i in range(1, 9)])
+    vars_ = VariableSet.from_generators(a.generators)
+    m1, m2, m3, m4 = (GroupWord.generator(g) ** 65536 for g in a.generators[:4])
+    assert expand(m1 * m2 * m3.inverse() * m4, vars_).terms[(1, 2, 3, 4)] == -(2**64)
+    w = commutator(m1 * m3, m2 * m4.inverse())
+    p = expand(w, vars_)
+    assert p == _runwise(w, vars_)
+    assert {abs(c) for k, c in p.terms.items() if len(k) == 4} == {2**64}
+    # 10^6 letters over 8 generators: three words a slot
+    w = GroupWord(tuple((f"m{i}", (-1) ** i) for i in range(1, 9) for _ in range(125_000)))
+    p = expand(w, vars_)
+    assert p.terms[tuple(range(1, 9))] == 125_000**8
+    assert p == _runwise(w, vars_)
+    rng = random.Random(64)
+    widest = []
+    for n in (6, 7):
+        gens = list(a.generators[:n])
+        for _ in range(5):
+            runs = [
+                ((rng.choice(gens), rng.choice((1, -1))),) * rng.randrange(1, 2**12)
+                for _ in range(rng.randrange(12, 19))
+            ]
+            w = GroupWord(sum(runs, ()))
+            p = expand(w, vars_)
+            assert p == _runwise(w, vars_)
+            widest.append(max(map(abs, p.terms.values())).bit_length())
+    assert sum(b > 64 for b in widest) >= 5
+
+
+def test_mixed_signs_in_one_support_decode_exactly():
+    # a negative slot borrows from the slot above it in the packed integer;
+    # each case puts coefficients of both signs side by side in one support
+    a = Alphabet(["m1", "m2", "m3", "m4"])
+    vars_ = VariableSet.from_generators(a.generators)
+    assert expand(a.word("[m1,m2]"), vars_).terms == {(): 1, (1, 2): 1, (2, 1): -1}
+    assert expand(a.word("[m2,m1]"), vars_).terms == {(): 1, (1, 2): -1, (2, 1): 1}
+    for text in ("[[m1,m2],m3]", "[[m1^3,m2^-2],[m3,m4^5]]", "[m1^-7*m3,[m2^4,m4^-1]]^3"):
+        w = a.word(text)
+        p = expand(w, vars_)
+        assert p == letter_by_letter(w, vars_)
+        top = [c for k, c in p.terms.items() if len(k) == max(map(len, p.terms))]
+        assert min(top) < 0 < max(top)
