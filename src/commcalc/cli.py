@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Every command emits a human-readable report on stdout and, with
---json, a JSON document conforming to data/report_schema.json.  Exit
-codes: 0 all certificates pass, 1 a certificate failed, 2 usage or
-input error, 3 internal error (a defect in commcalc, reported as one
-"internal error:" line on stderr).  Reports are byte-stable across
-re-runs apart from the timing field.
+Every command returns the parts of its report: the command name, the
+verdict, the payload and the text lines.  `main` times the command,
+builds the report and prints it on stdout: the text lines and the
+verdict or, with --json, a JSON document conforming to
+data/report_schema.json.  Exit codes: 0 all certificates pass, 1 a
+certificate failed, 2 usage or input error, 3 internal error (a defect
+in commcalc, reported as one "internal error:" line on stderr).
+Reports are byte-stable across re-runs apart from the timing field.
 """
 
 from __future__ import annotations
@@ -18,16 +20,6 @@ import sys
 import time
 
 from . import __version__, hopf, lie, magnus, obstruction, words
-
-
-def _report(command: str, passed: bool, payload: dict, t0: float) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "passed": passed,
-        "payload": payload,
-        "timing_ms": round((time.perf_counter() - t0) * 1000, 3),
-    }
 
 
 def _emit(report: dict, text_lines: list[str], as_json: bool) -> int:
@@ -48,11 +40,10 @@ def _emit(report: dict, text_lines: list[str], as_json: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each returns (command, passed, payload, text lines)
 
 
-def cmd_magnus(args) -> int:
-    t0 = time.perf_counter()
+def cmd_magnus(args) -> tuple:
     names = [n.strip() for n in args.vars.split(",") if n.strip()]
     alphabet = words.Alphabet(names)
     expr = words.parse_expr(args.expr, alphabet)
@@ -68,12 +59,10 @@ def cmd_magnus(args) -> int:
         "is_trivial": poly.is_one(),
         "lcs_degree": "infinite" if degree is None else degree,
     }
-    report = _report("magnus", True, payload, t0)
-    return _emit(report, [text], args.json)
+    return "magnus", True, payload, [text]
 
 
-def cmd_reduce(args) -> int:
-    t0 = time.perf_counter()
+def cmd_reduce(args) -> tuple:
     seen = words.generator_names(args.expr)
     if not seen:
         raise words.ParseError("no generators in expression", 0, "generator name")
@@ -85,12 +74,10 @@ def cmd_reduce(args) -> int:
         "length": len(word),
         "letters": [[g, s] for g, s in word.letters],
     }
-    report = _report("reduce", True, payload, t0)
-    return _emit(report, [str(word)], args.json)
+    return "reduce", True, payload, [str(word)]
 
 
-def cmd_lie_to_basis(args) -> int:
-    t0 = time.perf_counter()
+def cmd_lie_to_basis(args) -> tuple:
     alphabet = words.Alphabet([f"m{i}" for i in lie.INDICES])
     expr = words.parse_expr(args.expr, alphabet)
     tree = lie.comm_expr_to_tree(expr)
@@ -102,8 +89,7 @@ def cmd_lie_to_basis(args) -> int:
             lie.tree_text(lie.right_normed(p)): str(c) for p, c in sorted(coeffs.items())
         },
     }
-    report = _report("lie to-basis", True, payload, t0)
-    return _emit(report, [payload["combination"]], args.json)
+    return "lie to-basis", True, payload, [payload["combination"]]
 
 
 #: Reference values the computed ones are held against; a mismatch in
@@ -118,32 +104,39 @@ LEMMA_EXPECTED = {
 }
 
 
-def _lemma_payload() -> dict:
+def _lemma_section(args) -> tuple:
     payload = lie.verify_lemma_w()
     payload["basis_rank"] = lie.basis_rank()
     payload["small_degree_ranks"] = {str(d): lie.quotient_dim(range(2, 2 + d)) for d in (2, 3, 4)}
     payload["expected"] = LEMMA_EXPECTED
     payload["passed"] = all(payload[k] == v for k, v in LEMMA_EXPECTED.items())
-    return payload
+    return payload, [lie.render_lemma_report(payload)]
 
 
-def _appendix_payload() -> dict:
+def _appendix_section(args) -> tuple:
     payload = lie.appendix_report()
     payload["passed"] = payload["all_verified"]
-    return payload
+    rows = payload["rows"]
+    return payload, [
+        f"appendix identities: {sum(r['verified'] for r in rows)}/15 verified; "
+        f"printed-form mismatches flagged on rows "
+        f"{[r['row'] for r in rows if not r['printed_matches']]}"
+    ]
 
 
-def _hopf_payload() -> dict:
-    payload = hopf.verify_hopf_triviality()
-    payload["substitutions_bound1"] = [list(t) for t in hopf.find_substitutions(1)]
+def _hopf_section(args) -> tuple:
+    h = hopf.verify_hopf_triviality()
+    h["substitutions_bound1"] = [list(t) for t in hopf.find_substitutions(1)]
     twisted = [list(t) for t in hopf.find_substitutions(2, twisted=True)]
-    payload["twisted_band"] = {"bound": 2, "found": twisted, "solvable": bool(twisted)}
-    payload["passed"] = (
-        payload["all_passed"]
-        and [1, 1, -1] in payload["substitutions_bound1"]
-        and payload["twisted_band"]["solvable"]
-    )
-    return payload
+    h["twisted_band"] = {"bound": 2, "found": twisted, "solvable": bool(twisted)}
+    h["passed"] = (h["all_passed"] and [1, 1, -1] in h["substitutions_bound1"]
+                   and h["twisted_band"]["solvable"])
+    return h, [
+        f"substituted longitude: {h['substituted_word'] or '1'} -> "
+        f"expansion {h['magnus_expansion']}",
+        f"certificates: substitution {h['substituted_trivial']}, "
+        f"jacobi {h['jacobi_product_trivial']}, hall-witt {h['hall_witt_trivial']}",
+    ]
 
 
 #: Family 1 at b1 = b5 = 1, in the scalar syntax of `system eval`.
@@ -154,88 +147,70 @@ FAMILY1_SAMPLE_POINT = {
 }
 
 
-def _families_payload() -> dict:
+def _families_section(args) -> tuple:
     reports = {str(k): obstruction.verify_family(k) for k in (1, 2, 3)}
     point = {v: parse_scalar(x) for v, x in FAMILY1_SAMPLE_POINT.items()}
     sample = obstruction.evaluate(obstruction.obstruction_system(), point)
     sample_zero = all(v.is_zero() for v in sample.values())
-    return {
+    payload = {
         "grid_size": 13,
         "families": reports,
         "sample_point_residuals_zero": sample_zero,
-        "passed": (
-            all(r["all_residuals_zero"] for r in reports.values())
-            and sample_zero
-            and all(reports["1"]["closed_form_facts"].values())
-        ),
+        "passed": (all(r["all_residuals_zero"] for r in reports.values()) and sample_zero
+                   and all(reports["1"]["closed_form_facts"].values())),
     }
+    return payload, [
+        "families on the 13x13 grid: "
+        + ", ".join(
+            f"{k}: {'pass' if v['all_residuals_zero'] else 'FAIL'}"
+            for k, v in sorted(reports.items())
+        )
+        + f"; sample point zero: {sample_zero}"
+    ]
 
 
-def _transcription_payload() -> dict:
+def _transcription_section(args) -> tuple:
     check = obstruction.transcription_check()
     check["expected"] = {"all_agree": True, "flagged_rows": [9]}
     check["passed"] = check["all_agree"] and check["flagged_rows"] == [9]
-    return check
+    return check, [
+        f"dual-source transcription: agree={check['all_agree']}, "
+        f"flagged rows {check['flagged_rows']}"
+    ]
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    target = args.target
-    sections: dict = {}
-    text: list[str] = []
-    if target in ("lemma41", "all"):
-        sections["lemma41"] = _lemma_payload()
-        text.append(lie.render_lemma_report(sections["lemma41"]))
-    if target in ("appendix", "all"):
-        sections["appendix"] = _appendix_payload()
-        rows = sections["appendix"]["rows"]
-        text.append(
-            f"appendix identities: {sum(r['verified'] for r in rows)}/15 verified; "
-            f"printed-form mismatches flagged on rows "
-            f"{[r['row'] for r in rows if not r['printed_matches']]}"
-        )
-    if target in ("hopf", "all"):
-        sections["hopf"] = _hopf_payload()
-        h = sections["hopf"]
-        text.append(
-            f"substituted longitude: {h['substituted_word'] or '1'} -> "
-            f"expansion {h['magnus_expansion']}"
-        )
-        text.append(
-            f"certificates: substitution {h['substituted_trivial']}, "
-            f"jacobi {h['jacobi_product_trivial']}, hall-witt {h['hall_witt_trivial']}"
-        )
-    if target in ("families", "all"):
-        sections["families"] = _families_payload()
-        f = sections["families"]
-        text.append(
-            "families on the 13x13 grid: "
-            + ", ".join(
-                f"{k}: {'pass' if v['all_residuals_zero'] else 'FAIL'}"
-                for k, v in sorted(f["families"].items())
-            )
-            + f"; sample point zero: {f['sample_point_residuals_zero']}"
-        )
-    if target == "all":
-        sections["transcription"] = _transcription_payload()
-        text.append(
-            f"dual-source transcription: agree={sections['transcription']['all_agree']}, "
-            f"flagged rows {sections['transcription']['flagged_rows']}"
-        )
-        canon, sols = obstruction.integer_search(args.bound)
-        sections["integer_search"] = {
-            "bound": args.bound,
-            "solutions": [list(s) for s in sols],
-            "passed": not sols,
-        }
-        text.append(
-            f"integer search |v| <= {args.bound}: "
-            + (f"{len(sols)} solutions (claim falsified)" if sols else "no solutions")
-        )
+def _integer_search_section(args) -> tuple:
+    _, sols = obstruction.integer_search(args.bound)
+    payload = {"bound": args.bound, "solutions": [list(s) for s in sols], "passed": not sols}
+    return payload, [
+        f"integer search |v| <= {args.bound}: "
+        + (f"{len(sols)} solutions (claim falsified)" if sols else "no solutions")
+    ]
+
+
+#: The sections of `verify`, in report order: name -> function of the
+#: arguments returning (payload, text lines).  `verify all` runs every
+#: section; the first four can also be run alone.
+VERIFY_SECTIONS = {
+    "lemma41": _lemma_section,
+    "appendix": _appendix_section,
+    "hopf": _hopf_section,
+    "families": _families_section,
+    "transcription": _transcription_section,
+    "integer_search": _integer_search_section,
+}
+VERIFY_TARGETS = list(VERIFY_SECTIONS)[:4] + ["all"]
+
+
+def cmd_verify(args) -> tuple:
+    names = list(VERIFY_SECTIONS) if args.target == "all" else [args.target]
+    sections, text = {}, []
+    for name in names:
+        sections[name], lines = VERIFY_SECTIONS[name](args)
+        text += lines
     passed = all(s["passed"] for s in sections.values())
-    payload = sections if target == "all" else sections[target]
-    report = _report(f"verify {target}", passed, payload, t0)
-    return _emit(report, text, args.json)
+    payload = sections if args.target == "all" else sections[args.target]
+    return f"verify {args.target}", passed, payload, text
 
 
 def _row_labels(text: str) -> list[int]:
@@ -251,8 +226,7 @@ def _row_labels(text: str) -> list[int]:
     return [int(x) for x in labels]
 
 
-def cmd_system_search(args) -> int:
-    t0 = time.perf_counter()
+def cmd_system_search(args) -> tuple:
     labels = None if args.subsystem is None else _row_labels(args.subsystem)
     canon, sols = obstruction.integer_search(args.bound, labels=labels)
     full = labels is None
@@ -264,17 +238,13 @@ def cmd_system_search(args) -> int:
         "solutions": [list(s) for s in sols[:200]],
         "truncated": len(sols) > 200,
     }
-    passed = (not full) or not sols
-    report = _report("system search", passed, payload, t0)
-    if full:
-        line = (
-            f"no integer solutions with |v| <= {args.bound}"
-            if not sols
-            else f"{len(sols)} integer solutions with |v| <= {args.bound} (claim falsified)"
-        )
-    else:
+    if not full:
         line = f"{len(sols)} solutions over {list(canon)} with |v| <= {args.bound}"
-    return _emit(report, [line], args.json)
+    elif sols:
+        line = f"{len(sols)} integer solutions with |v| <= {args.bound} (claim falsified)"
+    else:
+        line = f"no integer solutions with |v| <= {args.bound}"
+    return "system search", (not full) or not sols, payload, [line]
 
 
 #: A rational part must be followed by a sign or the end, so that in
@@ -347,8 +317,7 @@ def parse_assignment_file(path: str) -> dict:
     return assignment
 
 
-def cmd_system_eval(args) -> int:
-    t0 = time.perf_counter()
+def cmd_system_eval(args) -> tuple:
     assignment = parse_assignment_file(args.assign)
     system = obstruction.obstruction_system()
     residuals = obstruction.evaluate(system, assignment)
@@ -357,9 +326,8 @@ def cmd_system_eval(args) -> int:
         "residuals": {str(k): str(v) for k, v in sorted(residuals.items())},
         "satisfied": all(v.is_zero() for v in residuals.values()),
     }
-    report = _report("system eval", payload["satisfied"], payload, t0)
     lines = [f"({k}) residual {v}" for k, v in sorted(residuals.items())]
-    return _emit(report, lines, args.json)
+    return "system eval", payload["satisfied"], payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lie_to_basis)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "target", choices=["lemma41", "appendix", "hopf", "families", "all"]
-    )
+    p.add_argument("target", choices=VERIFY_TARGETS)
     p.add_argument("--json", action="store_true")
     p.add_argument("--bound", type=int, default=5, help="search bound for 'all' (default 5)")
     p.set_defaults(func=cmd_verify)
@@ -422,7 +388,12 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        command, passed, payload, text_lines = args.func(args)
+        timing_ms = round((time.perf_counter() - t0) * 1000, 3)
+        report = {"command": command, "version": __version__, "passed": passed,
+                  "payload": payload, "timing_ms": timing_ms}
+        return _emit(report, text_lines, args.json)
     except (ValueError, OSError) as exc:  # a WordError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,6 +56,12 @@ VARIABLES: tuple[str, ...] = (
 #: counts is checked against it before the components are joined.
 MAX_SOLUTIONS = 10**6
 
+#: Most heads a component's search plan may enumerate: (2B + 1) to the
+#: number of variables the plan enumerates rather than solves.  The
+#: count ignores that a fixed block is solved once and reused, and the
+#: a == 0 branches that enumerate a solved variable too.
+MAX_HEADS = 10**6
+
 
 class PoleError(ZeroDivisionError):
     """A family was evaluated on its pole set (b1 = 0 or b5 = 0)."""
@@ -176,9 +182,6 @@ class QSqrt3:
 
     def is_zero(self) -> bool:
         return self._a == self._b == 0
-
-    def is_rational(self) -> bool:
-        return self._b == 0
 
     def __str__(self):
         a, b = self.a, self.b
@@ -504,7 +507,8 @@ def integer_search(
       at every bound.
 
     Returns (variables in canonical order, sorted solution tuples).
-    Unknown row labels, and more than MAX_SOLUTIONS solutions, raise
+    Unknown row labels, a component whose plan enumerates more than
+    MAX_HEADS heads, and more than MAX_SOLUTIONS solutions, raise
     ValueError.
     """
     if bound < 0:
@@ -636,6 +640,16 @@ def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tup
                 pair.append((x_terms, y_terms, other, row_target))
         blocks.append((lo, last, (*_split(terms, last), target), checks, pair))
         lo = last + 1
+    free = sum(last - lo - (pair is not None) for lo, last, _, _, pair in blocks)
+    heads = (2 * bound + 1) ** free
+    if heads > MAX_HEADS:
+        largest = int(MAX_HEADS ** (1 / free) / 2) + 1
+        while (2 * largest + 1) ** free > MAX_HEADS:
+            largest -= 1
+        raise ValueError(
+            f"rows {[eq.label for eq in rows]} with |v| <= {bound} take {heads} search heads, "
+            f"over the limit of {MAX_HEADS}; the largest bound within it is {largest}"
+        )
 
     domain = range(-bound, bound + 1)
     val = [0] * len(order)

@@ -251,6 +251,34 @@ def test_system_search_too_many_solutions_exits_2(capsys):
     assert err == "error: 3182656 solutions with |v| <= 3 exceed the limit of 1000000\n"
 
 
+@pytest.mark.parametrize("subsystem,bound", [("2", "1000"), ("2,3", "1000000"),
+                                             ("5,8,10,11", "30")])
+def test_system_search_over_the_work_bound_exits_2_at_once(subsystem, bound):
+    # each plan would enumerate billions of heads: refused before the first
+    argv = ["system", "search", "--subsystem", subsystem, "--bound", bound]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "commcalc.cli", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 2.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: rows [")
+
+
+def test_system_search_work_bound_names_the_largest_bound_that_fits(capsys, monkeypatch):
+    monkeypatch.setattr(obstruction, "MAX_HEADS", 1000)
+    code, out, err = run(capsys, "system", "search", "--subsystem", "2,3", "--bound", "100")
+    assert code == 2 and out == ""
+    # the coupled pair enumerates 2 of its 4 variables: 201^2 heads
+    assert err.startswith("error: rows [2, 3] with |v| <= 100 take 40401 search heads, "
+                          "over the limit of 1000; the largest bound within it is ")
+    largest = int(err.split()[-1])
+    assert largest == 15  # 31^2 = 961 <= 1000 < 33^2
+    assert run(capsys, "system", "search", "--subsystem", "2,3", "--bound", str(largest))[0] == 0
+    code, _, err = run(capsys, "system", "search", "--subsystem", "2,3",
+                       "--bound", str(largest + 1))
+    assert code == 2 and "take 1089 search heads" in err
+
+
 SAMPLE_FILE = """\
 # the sample solution of the first family at unit parameters
 a3 = -1
@@ -408,6 +436,18 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_error_while_printing_exits_3(capsys, monkeypatch):
+    # printing is inside the exit-code contract: a defect there is one
+    # internal-error line, and nothing reaches stdout
+    def broken(*args, **kwargs):
+        raise RuntimeError("cannot encode")
+
+    monkeypatch.setattr(json, "dumps", broken)
+    code, out, err = run(capsys, "verify", "lemma41", "--json")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: cannot encode\n"
+
+
 def test_pole_error_is_a_defect(capsys, monkeypatch):
     # no CLI path evaluates a family on its pole set, so a PoleError
     # that reaches main is a defect in commcalc, not an input error
@@ -479,6 +519,12 @@ def test_json_matches_golden(capsys, argv, golden):
     assert code == 0
     out = re.sub(r'^  "timing_ms": [0-9.e+-]+,\n', "", out, count=1, flags=re.M)
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_verify_all_text_matches_golden(capsys):
+    code, out, err = run(capsys, "verify", "all", "--bound", "2")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "verify_all_bound2.txt").read_text()
 
 
 def test_verify_all(capsys):
