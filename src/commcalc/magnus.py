@@ -34,7 +34,9 @@ from .words import GroupWord, UnmappedGeneratorError, _Value, trailing_index
 
 
 class VariableSet(_Value):
-    """Generator names and the distinct variable indices they map to."""
+    """Generator names and the distinct variable indices they map to.
+    It keeps its own copy of the mapping and hashes over its sorted
+    items, as a dict does not hash."""
 
     __slots__ = ("mapping",)  # name -> int
 
@@ -42,7 +44,10 @@ class VariableSet(_Value):
         idx = list(mapping.values())
         if len(set(idx)) != len(idx):
             raise ValueError(f"variable indices must be distinct: {idx}")
-        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "mapping", dict(mapping))
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.mapping.items())))
 
     @staticmethod
     def from_generators(names: Iterable[str]) -> "VariableSet":
@@ -119,6 +124,13 @@ class MagnusPoly:
 #: monomial over 9 generators is refused.
 MAX_TERMS = 200_000
 
+#: Most work an expansion may do: each run adds the slots reached
+#: before it times the 64-bit words per slot, which bounds the words its
+#: shift-multiply-adds touch.  It admits (m1 m2 ... m8)^110, whose 880
+#: runs reach all 109 601 slots of the 8-generator ring, and refuses
+#: ^111, whose coefficients take two words per slot.
+MAX_WORK = 10**8
+
 
 def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
     """Magnus expansion of a word: the product of its runs' 1 + e x_i,
@@ -147,7 +159,8 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
     words.
 
     A support takes its |S|! slots when a run first reaches it; more
-    than MAX_TERMS slots is a ValueError."""
+    than MAX_TERMS slots is a ValueError, and so is more than MAX_WORK
+    work, each run costing the slots reached before it times q."""
     runs = [
         (vars.index_of(g), sum(s for _, s in run))
         for g, run in groupby(w.letters, key=itemgetter(0))
@@ -162,13 +175,19 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
     q = bound.bit_length() // 64 + 1  # 64-bit words per slot
     width = 64 * q
     packed = {0: 1}
-    slots = 1
+    slots, work = 1, 0
     # bit -> (supports looked at, [(support without the bit, with it,
     # shift of its block there)]); a run of the bit first looks at the
     # supports reached since its last run, so the lists hold only the
     # supports reached and only the bits whose runs have come
     sources: dict = {}
     for i, e in reversed(runs):
+        work += slots * q
+        if work > MAX_WORK:
+            raise ValueError(
+                f"Magnus expansion exceeds the work limit of {MAX_WORK} slot words "
+                f"over {len(vars)} variables"
+            )
         b = bits[i]
         looked, found = sources.get(b, (0, []))
         for support in islice(packed, looked, None):

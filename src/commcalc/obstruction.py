@@ -46,20 +46,16 @@ import itertools
 import math
 import re
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 VARIABLES: tuple[str, ...] = (
     "a3", "a4", "a5", "a6", "b1", "b2", "b5", "b6", "c1", "c2", "c3", "c4",
 )
 
-#: Most solutions integer_search lists; the product of the component
-#: counts is checked against it before the components are joined.
-MAX_SOLUTIONS = 10**6
-
-#: Most heads a component's search plan may enumerate: (2B + 1) to the
-#: number of variables the plan enumerates rather than solves.  The
-#: count ignores that a fixed block is solved once and reused, and the
-#: a == 0 branches that enumerate a solved variable too.
+#: The search's one work limit, on the heads of all its components'
+#: plans -- each (2B + 1) to the number of variables it enumerates
+#: rather than solves, not counting fixed-block reuse or a == 0
+#: branches -- and on the joined solution count.
 MAX_HEADS = 10**6
 
 
@@ -507,9 +503,9 @@ def integer_search(
       at every bound.
 
     Returns (variables in canonical order, sorted solution tuples).
-    Unknown row labels, a component whose plan enumerates more than
-    MAX_HEADS heads, and more than MAX_SOLUTIONS solutions, raise
-    ValueError.
+    Unknown row labels raise ValueError, and so do more than MAX_HEADS
+    heads in all the components' plans, before any component runs, and
+    more than MAX_HEADS solutions, before the join.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
@@ -520,20 +516,26 @@ def integer_search(
         if unknown:
             raise ValueError(f"unknown row labels {sorted(unknown)}; rows are 1-{len(system)}")
     rows = [eq for eq in system if eq.terms and (labels is None or eq.label in labels)]
-    parts = [_search_component(component, bound) for component in _components(rows)]
-    count = math.prod(len(sols) for _, sols in parts)
-    if count > MAX_SOLUTIONS:
+    plans = [_search_component(component) for component in _components(rows)]
+    frees = [free for _, free, solve in plans if solve]  # refuted mod 2: no heads
+    heads = sum((2 * bound + 1) ** free for free in frees)
+    if heads > MAX_HEADS:
+        largest = int(MAX_HEADS ** (1 / max(frees)) / 2) + 1
+        while sum((2 * largest + 1) ** free for free in frees) > MAX_HEADS:
+            largest -= 1
         raise ValueError(
-            f"{count} solutions with |v| <= {bound} exceed the limit of {MAX_SOLUTIONS}"
+            f"rows {[eq.label for eq in rows]} with |v| <= {bound} take {heads} search heads, "
+            f"over the limit of {MAX_HEADS}; the largest bound within it is {largest}"
         )
-    order = [v for names, _ in parts for v in names]
+    parts = [solve(bound) if solve else [] for _, _, solve in plans]
+    count = math.prod(map(len, parts))
+    if count > MAX_HEADS:
+        raise ValueError(f"{count} solutions with |v| <= {bound} exceed the limit of {MAX_HEADS}")
+    order = [v for names, _, _ in plans for v in names]
     canon = tuple(v for v in VARIABLES if v in order)
     place = [order.index(v) for v in canon]
-    solutions = []
-    for combo in itertools.product(*(sols for _, sols in parts)):
-        flat = tuple(x for sol in combo for x in sol)
-        solutions.append(tuple(flat[i] for i in place))
-    return canon, sorted(solutions)
+    flats = (tuple(x for sol in combo for x in sol) for combo in itertools.product(*parts))
+    return canon, sorted(tuple(flat[i] for i in place) for flat in flats)
 
 
 def _variables_of(eq: Equation) -> set:
@@ -606,9 +608,11 @@ def _split(terms, i) -> tuple[list, list]:
             [(c, idxs) for c, idxs in terms if i not in idxs])
 
 
-def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
-    """Solutions of one connected component, over its variables in
-    _search_order.  A block ends at every depth where a row ends, and
+def _search_component(rows: list) -> tuple[tuple[str, ...], int, Callable | None]:
+    """The plan of one connected component: its variables in
+    _search_order, how many of them it enumerates rather than solves,
+    and a function of the bound listing its solutions (None if the rows
+    have none mod 2).  A block ends at every depth where a row ends, and
     one product over the domain enumerates its variables before the
     last two, x and y.  Where its first two closing rows are jointly
     linear in x and y, they solve both by Cramer's rule in integers
@@ -623,7 +627,7 @@ def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tup
         last = max(i for _, idxs in terms for i in idxs)
         ending.setdefault(last, []).append((terms, eq.target))
     if not _parity_solvable(order, ending):
-        return order, []  # every integer solution reduces to one mod 2
+        return order, 0, None  # every integer solution reduces to one mod 2
 
     blocks = []  # (lo, last, first row split at last, check rows, pair or None)
     lo = 0
@@ -641,16 +645,11 @@ def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tup
         blocks.append((lo, last, (*_split(terms, last), target), checks, pair))
         lo = last + 1
     free = sum(last - lo - (pair is not None) for lo, last, _, _, pair in blocks)
-    heads = (2 * bound + 1) ** free
-    if heads > MAX_HEADS:
-        largest = int(MAX_HEADS ** (1 / free) / 2) + 1
-        while (2 * largest + 1) ** free > MAX_HEADS:
-            largest -= 1
-        raise ValueError(
-            f"rows {[eq.label for eq in rows]} with |v| <= {bound} take {heads} search heads, "
-            f"over the limit of {MAX_HEADS}; the largest bound within it is {largest}"
-        )
+    return order, free, functools.partial(_enumerate, order, ending, blocks)
 
+
+def _enumerate(order, ending, blocks, bound: int) -> list[tuple[int, ...]]:
+    """The solutions with |v| <= bound of a component's plan, in its order."""
     domain = range(-bound, bound + 1)
     val = [0] * len(order)
 
@@ -716,4 +715,4 @@ def _search_component(rows: list, bound: int) -> tuple[tuple[str, ...], list[tup
             walk(k + 1)
 
     walk(0)
-    return order, found
+    return found

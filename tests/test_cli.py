@@ -149,6 +149,18 @@ def test_magnus_over_thousands_of_generators_exits_2(capsys):
     assert err == "error: Magnus expansion exceeds the limit of 200000 terms over 5000 variables\n"
 
 
+def test_magnus_of_a_million_letters_over_eight_generators_exits_2_at_once():
+    names = [f"m{i}" for i in range(1, 9)]
+    argv = ["magnus", f"({'*'.join(names)})^125000", "--vars", ",".join(names)]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "commcalc.cli", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 3.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: Magnus expansion exceeds the work limit of 100000000 "
+                           "slot words over 8 variables\n")
+
+
 def test_superscript_exponent_exits_2(capsys):
     code, _, err = run(capsys, "reduce", "x^²")
     assert code == 2
@@ -252,9 +264,11 @@ def test_system_search_too_many_solutions_exits_2(capsys):
 
 
 @pytest.mark.parametrize("subsystem,bound", [("2", "1000"), ("2,3", "1000000"),
-                                             ("5,8,10,11", "30")])
+                                             ("5,8,10,11", "30"), ("2,3,4,7", "499"),
+                                             ("8,13", "7"), ("2,3,4,7,12,15", "300")])
 def test_system_search_over_the_work_bound_exits_2_at_once(subsystem, bound):
-    # each plan would enumerate billions of heads: refused before the first
+    # the plans would enumerate more heads than the limit, in one component
+    # or summed over several that each fit: refused before the first
     argv = ["system", "search", "--subsystem", subsystem, "--bound", bound]
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "commcalc.cli", *argv], env=src_env(),
@@ -277,6 +291,19 @@ def test_system_search_work_bound_names_the_largest_bound_that_fits(capsys, monk
     code, _, err = run(capsys, "system", "search", "--subsystem", "2,3",
                        "--bound", str(largest + 1))
     assert code == 2 and "take 1089 search heads" in err
+
+
+def test_system_search_work_bound_sums_the_components(capsys, monkeypatch):
+    monkeypatch.setattr(obstruction, "MAX_HEADS", 1000)
+    # two coupled pairs, 23^2 = 529 heads each: either fits alone, not both
+    assert run(capsys, "system", "search", "--subsystem", "2,3", "--bound", "11")[0] == 0
+    code, out, err = run(capsys, "system", "search", "--subsystem", "2,3,4,7", "--bound", "11")
+    assert code == 2 and out == ""
+    assert err == ("error: rows [2, 3, 4, 7] with |v| <= 11 take 1058 search heads, "
+                   "over the limit of 1000; the largest bound within it is 10\n")
+    # at the bound it names the plans fit, and the same limit caps the join
+    code, _, err = run(capsys, "system", "search", "--subsystem", "2,3,4,7", "--bound", "10")
+    assert (code, err) == (2, "error: 6400 solutions with |v| <= 10 exceed the limit of 1000\n")
 
 
 SAMPLE_FILE = """\

@@ -235,6 +235,26 @@ def test_term_limit_refuses_the_run_that_passes_it(monkeypatch):
         expand(GroupWord(tuple((g, 1) for g in names)), vars_)
 
 
+def test_work_limit_counts_the_slots_each_run_starts_from(monkeypatch):
+    vars_ = VariableSet.from_generators(["m1", "m2"])
+    w = GroupWord((("m1", 1), ("m2", 1)))
+    # the run of m2 starts from 1 slot, {}; the run of m1 from 2, {} and {2}
+    monkeypatch.setattr(magnus, "MAX_WORK", 3)
+    assert len(expand(w, vars_).terms) == 4
+    monkeypatch.setattr(magnus, "MAX_WORK", 2)
+    with pytest.raises(ValueError, match="work limit of 2 slot words over 2 variables"):
+        expand(w, vars_)
+
+
+def test_work_limit_admits_the_110th_power_of_m1_to_m8():
+    names = [f"m{i}" for i in range(1, 9)]
+    vars_ = VariableSet.from_generators(names)
+    assert len(expand(GroupWord(tuple((g, 1) for g in names) * 110), vars_).terms) == 109_601
+    # one more power takes the coefficients past 63 bits, two words per slot
+    with pytest.raises(ValueError, match="work limit of 100000000 slot words over 8 variables"):
+        expand(GroupWord(tuple((g, 1) for g in names) * 111), vars_)
+
+
 def test_term_limit_counts_only_the_supports_a_word_reaches():
     names = [f"m{i}" for i in range(1, 13)]
     vars_ = VariableSet.from_generators(names)

@@ -478,18 +478,10 @@ def brute_solvable(labels) -> bool:
 
 
 def parity_solvable(rows) -> bool:
-    """_parity_solvable's verdict on rows, each component planned as
-    _search_component plans it."""
-    for component in obstruction._components(list(rows)):
-        order, plan = obstruction._search_order(component)
-        ending: dict = {}
-        for eq in plan:
-            terms = [(c, tuple(order.index(v) for v in mono)) for c, mono in eq.terms]
-            last = max(i for _, idxs in terms for i in idxs)
-            ending.setdefault(last, []).append((terms, eq.target))
-        if not obstruction._parity_solvable(order, ending):
-            return False
-    return True
+    """Whether _search_component refutes no component of rows mod 2 (a
+    refuted component's plan has no enumerator)."""
+    return all(obstruction._search_component(component)[2] is not None
+               for component in obstruction._components(list(rows)))
 
 
 def test_solver_rows_have_no_common_parity_vector():

@@ -357,6 +357,16 @@ def test_values_equal_by_type_and_fields():
     assert len({Leaf("x"), _X, Leaf(gen="x"), _Y}) == 2
 
 
+def test_variable_set_hashes_as_it_compares_and_keeps_its_own_mapping():
+    a, b = VariableSet.from_generators(["m1", "m2"]), VariableSet({"m2": 2, "m1": 1})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, VariableSet({"m1": 2, "m2": 1})}) == 2
+    given = {"m2": 2, "m3": 3}
+    vs = VariableSet(given)
+    given["m3"] = 4
+    assert vs.mapping == {"m2": 2, "m3": 3} and vs.index_of("m3") == 3
+
+
 def test_value_constructors_check_and_normalise():
     with pytest.raises(WordError, match="non-empty"):
         Product(())
