@@ -37,10 +37,7 @@ _EXPORTS = {
         "PoleError", "QSqrt3", "evaluate", "integer_search", "obstruction_system",
         "verify_family",
     ),
-    "hopf": (
-        "HopfScenario", "InadmissibleSubstitutionError", "find_substitutions",
-        "verify_hopf_triviality",
-    ),
+    "hopf": ("find_substitutions", "substituted_longitude", "verify_hopf_triviality"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

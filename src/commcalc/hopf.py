@@ -7,11 +7,12 @@ The longitude is the fixed expression
 
     [[m3, m4*b] * [b, m4], m2*a]
 
-over meridians m2, m3, m4 and the two relator meridians a, b.  The
-admissibility policy mirrors the standard-embedding restriction at the
-homological level: a substitutes to a word in {m3, m4} only and b to a
-word in {m2} only (a slice must not run over the handle of its own
-piece).
+over meridians m2, m3, m4 and the two relator meridians a, b.  A
+substitution is its exponent triple (s3, s4, t): a -> m3^s3 m4^s4,
+b -> m2^t.  So it is admissible by construction, as the
+standard-embedding restriction asks at the homological level: a goes
+to a word in {m3, m4} only and b to a word in {m2} only (a slice must
+not run over the handle of its own piece).
 
 The trivializing power substitutions are read off the expansions at
 the 8 corners of {0,1}^3, because every Magnus coefficient of the
@@ -24,14 +25,7 @@ from itertools import permutations, product
 from math import prod
 
 from . import magnus
-from .words import (
-    Alphabet,
-    CommExpr,
-    GroupWord,
-    commutator,
-    parse_expr,
-    substitute,
-)
+from .words import Alphabet, GroupWord, commutator, parse_expr, substitute
 
 L1_TEXT = "[[m3,m4*b]*[b,m4],m2*a]"
 
@@ -42,44 +36,17 @@ MERIDIANS = ("m2", "m3", "m4")
 #: by a twisted band in the defining diagram.
 L1_TWISTED_TEXT = "[[m3,m4*b]*[b^-1,m4],m2*a]"
 
+#: The Magnus variables x2, x3, x4 of the meridians.
+VARS = magnus.VariableSet.from_generators(MERIDIANS)
 
-class InadmissibleSubstitutionError(ValueError):
-    pass
 
-
-class HopfScenario:
-    """The fixed longitude expression plus the admissibility policy."""
-
-    def __init__(self, twisted: bool = False):
-        self.alphabet = Alphabet([*MERIDIANS, "a", "b"])
-        self.expression: CommExpr = parse_expr(
-            L1_TWISTED_TEXT if twisted else L1_TEXT, self.alphabet
-        )
-        self.vars = magnus.VariableSet.from_generators(MERIDIANS)
-
-    def admissible(self, sub: dict) -> bool:
-        return (
-            set(sub) == {"a", "b"}
-            and sub["a"].generators() <= {"m3", "m4"}
-            and sub["b"].generators() <= {"m2"}
-        )
-
-    def substitution(self, a_word: str, b_word: str) -> dict:
-        return {"a": self.alphabet.word(a_word), "b": self.alphabet.word(b_word)}
-
-    def power_substitution(self, s3: int, s4: int, t: int) -> dict:
-        """a -> m3^s3 m4^s4, b -> m2^t."""
-        m2, m3, m4 = (GroupWord.generator(m) for m in MERIDIANS)
-        return {"a": m3**s3 * m4**s4, "b": m2**t}
-
-    def build_substituted_l1(self, sub: dict) -> GroupWord:
-        """The freely reduced longitude after band-sum substitution,
-        as a word over {m2, m3, m4}."""
-        if not self.admissible(sub):
-            raise InadmissibleSubstitutionError(
-                "substitution must send a to a word in {m3,m4} and b to a word in {m2}"
-            )
-        return substitute(self.expression, sub)
+def substituted_longitude(s3: int, s4: int, t: int, twisted: bool = False) -> GroupWord:
+    """The freely reduced longitude after the band-sum substitution
+    a -> m3^s3 m4^s4, b -> m2^t, as a word over {m2, m3, m4}."""
+    alphabet = Alphabet([*MERIDIANS, "a", "b"])
+    expression = parse_expr(L1_TWISTED_TEXT if twisted else L1_TEXT, alphabet)
+    m2, m3, m4 = map(GroupWord.generator, MERIDIANS)
+    return substitute(expression, {"a": m3**s3 * m4**s4, "b": m2**t})
 
 
 def find_substitutions(bound: int, twisted: bool = False) -> list[tuple[int, int, int]]:
@@ -93,13 +60,8 @@ def find_substitutions(bound: int, twisted: bool = False) -> list[tuple[int, int
     or +-t.  So the corners fix every coefficient at every point."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    scenario = HopfScenario(twisted=twisted)
     cube = list(product((0, 1), repeat=3))
-    corners = [
-        magnus.expand(scenario.build_substituted_l1(scenario.power_substitution(*c)),
-                      scenario.vars).terms
-        for c in cube
-    ]
+    corners = [magnus.expand(substituted_longitude(*c, twisted), VARS).terms for c in cube]
     monomials = set().union(*corners)
     rng = range(-bound, bound + 1)
     found = []
@@ -151,10 +113,8 @@ def verify_hopf_triviality() -> dict:
     (ii) the three-commutator product left after collecting commutators
     is itself trivial (the Jacobi relation); (iii) the free-word
     identities used along the way hold verbatim."""
-    scenario = HopfScenario()
-    sub = scenario.substitution("m3*m4", "m2^-1")
-    word = scenario.build_substituted_l1(sub)
-    expansion = magnus.expand(word, scenario.vars)
+    word = substituted_longitude(1, 1, -1)
+    expansion = magnus.expand(word, VARS)
 
     m = {n: GroupWord.generator(n) for n in MERIDIANS}
     jacobi_word = (
@@ -162,7 +122,7 @@ def verify_hopf_triviality() -> dict:
         * commutator(commutator(m["m2"], m["m3"]), m["m4"])
         * commutator(commutator(m["m4"], m["m2"]), m["m3"])
     )
-    jacobi_trivial = magnus.is_trivial_word(jacobi_word, scenario.vars)
+    jacobi_trivial = magnus.is_trivial_word(jacobi_word, VARS)
 
     report = {
         "substitution": {"a": "m3*m4", "b": "m2^-1"},

@@ -59,10 +59,6 @@ class VariableSet(_Value):
             return VariableSet(dict(zip(names, suffixes)))
         return VariableSet({n: i + 1 for i, n in enumerate(names)})
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mapping.values()))
-
     def __len__(self) -> int:
         return len(self.mapping)
 
@@ -161,13 +157,11 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
     A support takes its |S|! slots when a run first reaches it; more
     than MAX_TERMS slots is a ValueError, and so is more than MAX_WORK
     work, each run costing the slots reached before it times q."""
-    runs = [
-        (vars.index_of(g), sum(s for _, s in run))
-        for g, run in groupby(w.letters, key=itemgetter(0))
-    ]
-    used = sorted({i for i, _ in runs})
-    bits = {i: 1 << p for p, i in enumerate(used)}
-    t = sum(abs(e) for _, e in runs)
+    # (index, name) of each generator of the word, looked up in word
+    # order, so the first unmapped one is the one reported
+    used = sorted((vars.index_of(g), g) for g in dict.fromkeys(map(itemgetter(0), w.letters)))
+    bits = {g: 1 << p for p, (_, g) in enumerate(used)}
+    t = len(w)  # a reduced word's runs each have one sign
     top = 0  # the most variables a support may have
     while top < len(used) and factorial(top + 1) <= MAX_TERMS:
         top += 1
@@ -181,14 +175,15 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
     # supports reached since its last run, so the lists hold only the
     # supports reached and only the bits whose runs have come
     sources: dict = {}
-    for i, e in reversed(runs):
+    for g, run in groupby(reversed(w.letters), itemgetter(0)):
+        e = sum(map(itemgetter(1), run))
         work += slots * q
         if work > MAX_WORK:
             raise ValueError(
                 f"Magnus expansion exceeds the work limit of {MAX_WORK} slot words "
                 f"over {len(vars)} variables"
             )
-        b = bits[i]
+        b = bits[g]
         looked, found = sources.get(b, (0, []))
         for support in islice(packed, looked, None):
             if not support & b:
@@ -215,7 +210,7 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
     biases: dict = {}  # slots -> half in each of them
     terms: dict = {}
     for support, p in packed.items():
-        asc = [i for i in used if support & bits[i]]
+        asc = [i for k, (i, _) in enumerate(used) if support >> k & 1]
         m = factorial(len(asc))
         if m not in biases:
             biases[m] = int.from_bytes(field * m, "little")

@@ -20,10 +20,10 @@ variable a block's rows end at is solved rather than enumerated -- the
 last two together, by Cramer's rule, where two of its rows are jointly
 linear in them -- and a block whose rows read only its own variables
 is solved once and reused.  Before a component is enumerated, its
-rows are solved mod 2 over the 2^n parity vectors of its variables; if
-none fits, no integer point can, and the component is refuted at every
-bound.  The full system is refuted this way, so its search costs the
-same at any bound.
+rows are solved mod 2 over the 2^n parity vectors of its variables,
+then mod 4; if none fits, no integer point can, and the component is
+refuted at every bound.  The full system is refuted this way, so its
+search costs the same at any bound.
 
 The system lives in 12 variables a3,a4,a5,a6,b1,b2,b5,b6,c1,c2,c3,c4
 (the homological band-sum multiplicities; the missing a1,a2,b3,b4,c5,c6
@@ -495,12 +495,13 @@ def integer_search(
       rows read only its own variables -- {(4),(7)} and {(12),(15)} in
       the full system -- is solved once, and its local solutions are
       reused under every solution of the blocks before it.
-    * Before any of that, each component is solved mod 2 (see
-      _parity_solvable): every integer solution reduces to a parity
-      vector that satisfies every row mod 2, so a component with none
-      has no solution at any bound and is not enumerated.  The full
-      system has none, so its search takes the same few hundred nodes
-      at every bound.
+    * Before any of that, each component is solved mod 2, then mod 4
+      (see _solvable_mod): every integer solution reduces to a vector
+      of residues that satisfies every row mod m, so a component with
+      none has no solution at any bound and is not enumerated.  The
+      full system has none mod 2, so its search takes the same few
+      hundred nodes at every bound; a core such as rows
+      2,4,5,6,8,9,10,11,13,14 has parity solutions but none mod 4.
 
     Returns (variables in canonical order, sorted solution tuples).
     Unknown row labels raise ValueError, and so do more than MAX_HEADS
@@ -517,7 +518,7 @@ def integer_search(
             raise ValueError(f"unknown row labels {sorted(unknown)}; rows are 1-{len(system)}")
     rows = [eq for eq in system if eq.terms and (labels is None or eq.label in labels)]
     plans = [_search_component(component) for component in _components(rows)]
-    frees = [free for _, free, solve in plans if solve]  # refuted mod 2: no heads
+    frees = [free for _, free, solve in plans if solve]  # refuted: no heads
     heads = sum((2 * bound + 1) ** free for free in frees)
     if heads > MAX_HEADS:
         largest = int(MAX_HEADS ** (1 / max(frees)) / 2) + 1
@@ -583,18 +584,19 @@ def _search_order(rows: list) -> tuple[tuple[str, ...], list]:
     return tuple(order), plan
 
 
-def _parity_solvable(order, ending) -> bool:
-    """Whether the rows of a component plan have a common solution mod 2:
-    a depth-first walk over {0, 1} along `order` that checks each row of
-    `ending` (depth -> [(terms over depths, target)]) as it closes."""
+def _solvable_mod(order, ending, m: int) -> bool:
+    """Whether the rows of a component plan have a common solution mod m:
+    a depth-first walk over {0, ..., m - 1} along `order` that checks
+    each row of `ending` (depth -> [(terms over depths, target)]) as it
+    closes."""
     val = [0] * len(order)
 
     def walk(d: int) -> bool:
         if d == len(order):
             return True
-        for bit in (0, 1):
-            val[d] = bit
-            if all((_value(terms, val) - t) % 2 == 0 for terms, t in ending.get(d, ())):
+        for residue in range(m):
+            val[d] = residue
+            if all((_value(terms, val) - t) % m == 0 for terms, t in ending.get(d, ())):
                 if walk(d + 1):
                     return True
         return False
@@ -612,11 +614,11 @@ def _search_component(rows: list) -> tuple[tuple[str, ...], int, Callable | None
     """The plan of one connected component: its variables in
     _search_order, how many of them it enumerates rather than solves,
     and a function of the bound listing its solutions (None if the rows
-    have none mod 2).  A block ends at every depth where a row ends, and
-    one product over the domain enumerates its variables before the
-    last two, x and y.  Where its first two closing rows are jointly
-    linear in x and y, they solve both by Cramer's rule in integers
-    under each head with a nonzero determinant.  Under any other head,
+    have none mod 2 or mod 4).  A block ends at every depth where a row
+    ends, and one product over the domain enumerates its variables
+    before the last two, x and y.  Where its first two closing rows are
+    jointly linear in x and y, they solve both by Cramer's rule in
+    integers under each head with a nonzero determinant.  Under any other head,
     and in every other block, the product runs over x too and the
     first closing row solves y.  The other closing rows check."""
     order, plan = _search_order(rows)
@@ -626,8 +628,11 @@ def _search_component(rows: list) -> tuple[tuple[str, ...], int, Callable | None
         terms = [(c, tuple(depth_of[v] for v in m)) for (c, m) in eq.terms]
         last = max(i for _, idxs in terms for i in idxs)
         ending.setdefault(last, []).append((terms, eq.target))
-    if not _parity_solvable(order, ending):
-        return order, 0, None  # every integer solution reduces to one mod 2
+    # every integer solution reduces to one mod m; mod 4 alone would
+    # do, but the mod-2 walk is the cheaper one and refutes the full
+    # system (under 1 ms against about 20 ms)
+    if not (_solvable_mod(order, ending, 2) and _solvable_mod(order, ending, 4)):
+        return order, 0, None
 
     blocks = []  # (lo, last, first row split at last, check rows, pair or None)
     lo = 0

@@ -633,6 +633,21 @@ def test_full_system_search_costs_the_same_at_any_bound():
     assert payload["count"] == 0 and payload["solutions"] == []
 
 
+def test_subsystem_refuted_mod_4_costs_the_same_at_any_bound():
+    # rows 2,4,5,6,8,9,10,11,13,14 have parity solutions but none mod 4,
+    # so the search refutes them before it counts any head; enumerating
+    # them at bound 6 would take 4 826 809 heads, over the limit
+    argv = ["system", "search", "--subsystem", "2,4,5,6,8,9,10,11,13,14",
+            "--bound", "1000000", "--json"]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "commcalc.cli", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 10.0
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["count"] == 0 and payload["solutions"] == []
+
+
 @pytest.mark.parametrize("stderr_to_stdout", [False, True])
 @pytest.mark.parametrize("argv,code", [
     (["system", "search", "--bound", "1", "--subsystem", "2,3"], 0),

@@ -7,18 +7,17 @@ import pytest
 
 from commcalc import hopf, magnus
 from commcalc.hopf import (
-    HopfScenario,
-    InadmissibleSubstitutionError,
+    VARS,
     find_substitutions,
+    substituted_longitude,
     verify_hopf_triviality,
 )
 from commcalc.words import Alphabet, GroupWord, parse_expr, expr_to_word
 
 
 def test_band_sum_substitution_gives_collected_word():
-    scenario = HopfScenario()
-    sub = scenario.substitution("m3*m4", "m2^-1")
-    word = scenario.build_substituted_l1(sub)
+    # a -> m3*m4, b -> m2^-1
+    word = substituted_longitude(1, 1, -1)
     # substituting directly into the expression text must agree, though
     # the text is parsed over another alphabet
     meridians = Alphabet(["m2", "m3", "m4"])
@@ -29,26 +28,11 @@ def test_band_sum_substitution_gives_collected_word():
 
 
 def test_empty_substitution():
-    scenario = HopfScenario()
-    sub = scenario.substitution("", "")
     # degenerate images: the expression collapses to [[m3,m4],m2]
-    word = scenario.build_substituted_l1(sub)
+    word = substituted_longitude(0, 0, 0)
     meridians = Alphabet(["m2", "m3", "m4"])
     expected = expr_to_word(parse_expr("[[m3,m4],m2]", meridians))
     assert word == expected
-
-
-def test_inadmissible_substitutions_rejected():
-    scenario = HopfScenario()
-    a, b = scenario.alphabet["a"], scenario.alphabet["b"]
-    m2 = GroupWord.generator(scenario.alphabet["m2"])
-    m3 = GroupWord.generator(scenario.alphabet["m3"])
-    with pytest.raises(InadmissibleSubstitutionError):
-        scenario.build_substituted_l1({a: m2, b: m2})
-    with pytest.raises(InadmissibleSubstitutionError):
-        scenario.build_substituted_l1({a: m3, b: m3})
-    with pytest.raises(InadmissibleSubstitutionError):
-        scenario.build_substituted_l1({a: m3})
 
 
 def test_verify_hopf_triviality_certificates():
@@ -63,13 +47,9 @@ def test_verify_hopf_triviality_certificates():
 
 
 def test_unsubstituted_word_depth():
-    scenario = HopfScenario()
-    all_vars = magnus.VariableSet.from_generators(
-        scenario.alphabet.generators
-    )
-    from commcalc.words import substitute
-
-    word = substitute(scenario.expression, {})
+    alphabet = Alphabet(["m2", "m3", "m4", "a", "b"])
+    all_vars = magnus.VariableSet.from_generators(alphabet.generators)
+    word = expr_to_word(parse_expr(hopf.L1_TEXT, alphabet))
     assert magnus.lcs_degree(word, all_vars) == 3
 
 
@@ -124,12 +104,11 @@ SOLUTIONS = {False: [(-1, -1, 1), (1, 1, -1)], True: [(-1, 1, -1), (1, -1, 1)]}
 def _dense_search(bound, twisted=False):
     """The box search the corner read-off replaced, on arithmetic that
     shares no code with magnus.expand."""
-    scenario = HopfScenario(twisted=twisted)
     rng = range(-bound, bound + 1)
     return [
         point
         for point in itertools.product(rng, repeat=3)
-        if _dense_trivial(scenario.build_substituted_l1(scenario.power_substitution(*point)))
+        if _dense_trivial(substituted_longitude(*point, twisted))
     ]
 
 
@@ -154,11 +133,8 @@ def test_read_off_matches_the_oracle_on_other_longitudes(monkeypatch, text):
 def test_coefficients_interpolate_from_the_eight_corners(twisted):
     # each Magnus coefficient is multilinear in (s3, s4, t), so the
     # corners of {0,1}^3 fix it at every point
-    scenario = HopfScenario(twisted=twisted)
-
     def terms(point):
-        word = scenario.build_substituted_l1(scenario.power_substitution(*point))
-        return magnus.expand(word, scenario.vars).terms
+        return magnus.expand(substituted_longitude(*point, twisted), VARS).terms
 
     corners = {c: terms(c) for c in itertools.product((0, 1), repeat=3)}
     for point in itertools.product(range(-3, 4), repeat=3):
@@ -178,15 +154,12 @@ def test_twisted_band_variant_is_solvable():
 
 
 def test_conjugation_invariance_of_substituted_words():
-    scenario = HopfScenario()
-    meridian_gens = [scenario.alphabet[n] for n in ("m2", "m3", "m4")]
     # nontrivial top-degree word: the empty substitution
-    word = scenario.build_substituted_l1(scenario.substitution("", ""))
-    base = magnus.expand(word, scenario.vars)
+    base = magnus.expand(substituted_longitude(0, 0, 0), VARS)
     assert base.min_degree() == 3
     for found in find_substitutions(1) + [(0, 0, 0)]:
-        word = scenario.build_substituted_l1(scenario.power_substitution(*found))
-        expansion = magnus.expand(word, scenario.vars)
-        for g in meridian_gens:
+        word = substituted_longitude(*found)
+        expansion = magnus.expand(word, VARS)
+        for g in hopf.MERIDIANS:
             conj = word.conjugate(GroupWord.generator(g))
-            assert magnus.expand(conj, scenario.vars) == expansion
+            assert magnus.expand(conj, VARS) == expansion

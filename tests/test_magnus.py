@@ -47,6 +47,9 @@ def test_unmapped_generator_error():
     h = GroupWord.generator(other["h"])
     with pytest.raises(UnmappedGeneratorError):
         expand(h, VARS)
+    # of several unmapped names the first in the word is reported
+    with pytest.raises(UnmappedGeneratorError, match="'h'"):
+        expand(GroupWord((("h", 1), ("g", 1))), VARS)
 
 
 def test_a_generator_is_its_name():
@@ -145,10 +148,10 @@ def test_rendering_graded_lex():
 def test_variable_set_indexing():
     named = Alphabet(["m2", "m5", "m9"])
     vs = VariableSet.from_generators(named.generators)
-    assert vs.indices == (2, 5, 9)
+    assert vs.mapping == {"m2": 2, "m5": 5, "m9": 9}
     plain = Alphabet(["a", "b"])
     vs = VariableSet.from_generators(plain.generators)
-    assert vs.indices == (1, 2)
+    assert vs.mapping == {"a": 1, "b": 2}
 
 
 def _word_with_runs(rng, gens, runs) -> GroupWord:
@@ -253,6 +256,23 @@ def test_work_limit_admits_the_110th_power_of_m1_to_m8():
     # one more power takes the coefficients past 63 bits, two words per slot
     with pytest.raises(ValueError, match="work limit of 100000000 slot words over 8 variables"):
         expand(GroupWord(tuple((g, 1) for g in names) * 111), vars_)
+
+
+def test_work_limit_refuses_a_million_letters_in_little_memory():
+    # the runs are walked as they come, never listed: a list of the 10^6
+    # one-letter runs of this word would take about 66 MiB, and the work
+    # limit refuses it after about 450 runs
+    names = [f"m{i}" for i in range(1, 9)]
+    w = GroupWord(tuple((g, 1) for g in names) * 125_000)
+    vars_ = VariableSet.from_generators(names)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="work limit of 100000000 slot words"):
+            expand(w, vars_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_term_limit_counts_only_the_supports_a_word_reaches():

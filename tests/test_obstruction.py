@@ -478,10 +478,18 @@ def brute_solvable(labels) -> bool:
 
 
 def parity_solvable(rows) -> bool:
-    """Whether _search_component refutes no component of rows mod 2 (a
-    refuted component's plan has no enumerator)."""
-    return all(obstruction._search_component(component)[2] is not None
-               for component in obstruction._components(list(rows)))
+    """_solvable_mod's verdict mod 2 on rows, each component planned as
+    _search_component plans it."""
+    for component in obstruction._components(list(rows)):
+        order, plan = obstruction._search_order(component)
+        ending: dict = {}
+        for eq in plan:
+            terms = [(c, tuple(order.index(v) for v in mono)) for c, mono in eq.terms]
+            last = max(i for _, idxs in terms for i in idxs)
+            ending.setdefault(last, []).append((terms, eq.target))
+        if not obstruction._solvable_mod(order, ending, 2):
+            return False
+    return True
 
 
 def test_solver_rows_have_no_common_parity_vector():
@@ -535,6 +543,61 @@ def test_minimal_parity_cores():
         assert parity_solvable(rows_of(rest)) == (label in CUBIC), label
 
 
+#: a minimal row set that has parity solutions but none mod 4
+MOD4_CORE = (2, 4, 5, 6, 8, 9, 10, 11, 13, 14)
+
+
+def solvable_mod_4(labels) -> bool:
+    """Whether the solver rows with these labels have a common solution
+    mod 4: a depth-first walk over residues with the variables taken
+    coupled pair by coupled pair, an order of its own rather than the
+    search plan's, checking each row once its variables are all set."""
+    rows = [SOLVER_ROWS[label] for label in labels]
+    used = {v for terms, _ in rows for _, mono in terms for v in mono}
+    names = [v for pair in COUPLED
+             for v in sorted({v for _, mono in SOLVER_ROWS[pair[0]][0] for v in mono})
+             if v in used]
+    closing: dict = {}
+    for terms, target in rows:
+        last = max(names.index(v) for _, mono in terms for v in mono)
+        closing.setdefault(last, []).append((terms, target))
+    point: dict = {}
+
+    def holds(terms, target) -> bool:
+        total = 0
+        for c, mono in terms:
+            for v in mono:
+                c *= point[v]
+            total += c
+        return (total - target) % 4 == 0
+
+    def walk(d: int) -> bool:
+        if d == len(names):
+            return True
+        for residue in range(4):
+            point[names[d]] = residue
+            if all(holds(*row) for row in closing.get(d, ())) and walk(d + 1):
+                return True
+        return False
+
+    return walk(0)
+
+
+def test_a_core_with_parity_solutions_is_refuted_mod_4():
+    assert brute_solvable(MOD4_CORE) and parity_solvable(rows_of(MOD4_CORE))
+    assert not solvable_mod_4(MOD4_CORE)
+    # the search refutes it as one component, and no row can be spared:
+    # without any one of them every component has an enumerator
+    rows = rows_of(MOD4_CORE)
+    assert obstruction._components(rows) == [rows]
+    assert obstruction._search_component(rows)[2] is None
+    for label in MOD4_CORE:
+        rest = rows_of(set(MOD4_CORE) - {label})
+        assert all(obstruction._search_component(component)[2] is not None
+                   for component in obstruction._components(rest)), label
+    assert integer_search(10**6, MOD4_CORE) == (VARIABLES, [])
+
+
 def test_without_row_6_an_integer_point_solves_the_rest():
     point = dict(zip(VARIABLES, (-1, 2, -1, -1, 1, -1, -1, 0, 0, -1, 1, 1)))
     residuals = evaluate(obstruction_system(), point)
@@ -547,7 +610,7 @@ def test_without_row_6_an_integer_point_solves_the_rest():
 def test_factored_search_still_finds_nothing_on_the_full_system(monkeypatch):
     # with the pre-check passing every component, the full system goes
     # through the block enumeration the parity refutation now skips
-    monkeypatch.setattr(obstruction, "_parity_solvable", lambda order, ending: True)
+    monkeypatch.setattr(obstruction, "_solvable_mod", lambda order, ending, m: True)
     for bound in range(4):
         assert integer_search(bound) == reference_search(bound) == (VARIABLES, [])
     assert integer_search(6)[1] == []

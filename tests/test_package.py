@@ -28,8 +28,7 @@ REEXPORTS = {
           "verify_appendix_identity", "verify_lemma_w"],
     obstruction: ["PoleError", "QSqrt3", "evaluate", "integer_search", "obstruction_system",
                   "verify_family"],
-    hopf: ["HopfScenario", "InadmissibleSubstitutionError", "find_substitutions",
-           "verify_hopf_triviality"],
+    hopf: ["find_substitutions", "substituted_longitude", "verify_hopf_triviality"],
 }
 LAYERS = {"words", "magnus", "lie", "obstruction", "hopf"}
 

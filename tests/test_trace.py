@@ -42,7 +42,7 @@ CASES = [
     (["lie", "to-basis", "[m2,[[m3,m4],[m5,m6]]]", "--json"], {"lie.to_basis_calls": 1}),
     (["verify", "hopf", "--json"],
      {"hopf.candidates": 152, "magnus.expand_calls": 18, "magnus.letters_in": 292,
-      "magnus.terms_out": 88, "words.letters_out": 265}),
+      "magnus.terms_out": 88, "words.letters_out": 262}),
     (["verify", "families", "--json"],
      {"obstruction.evaluate_calls": 508, "obstruction.grid_points": 507,
       "obstruction.system_calls": 4}),
