@@ -24,11 +24,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "words": (
         "Alphabet", "CommExpr", "Commutator", "Conjugate", "GroupWord", "Inverse",
-        "Leaf", "ParseError", "Product", "UnknownGeneratorError",
-        "UnmappedGeneratorError", "WordError", "commutator", "expr_to_word",
-        "parse_expr", "print_expr", "substitute",
+        "Leaf", "ParseError", "Product", "UnmappedGeneratorError", "WordError",
+        "commutator", "expr_to_word", "parse_expr", "print_expr", "substitute",
     ),
-    "magnus": ("MagnusPoly", "VariableSet", "expand", "is_trivial_word", "lcs_degree"),
+    "magnus": ("MagnusPoly", "VariableSet", "expand"),
     "lie": (
         "RationalMatrix", "TreeError", "expand_tree", "right_normed", "to_basis",
         "verify_appendix_identity", "verify_lemma_w",

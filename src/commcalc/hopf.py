@@ -122,7 +122,7 @@ def verify_hopf_triviality() -> dict:
         * commutator(commutator(m["m2"], m["m3"]), m["m4"])
         * commutator(commutator(m["m4"], m["m2"]), m["m3"])
     )
-    jacobi_trivial = magnus.is_trivial_word(jacobi_word, VARS)
+    jacobi_trivial = magnus.expand(jacobi_word, VARS).is_one()
 
     report = {
         "substitution": {"a": "m3*m4", "b": "m2^-1"},

@@ -85,10 +85,13 @@ class MagnusPoly:
         return isinstance(other, MagnusPoly) and self.terms == other.terms
 
     def is_one(self) -> bool:
+        """True iff the expanded word is trivial in the free Milnor group."""
         return self.terms == {(): 1}
 
     def min_degree(self) -> int | None:
-        """Smallest length of a non-constant term, None if there is none."""
+        """The expanded word's lower-central-series degree: the smallest
+        length of a non-constant term, None when there is none (the
+        expansion is 1 and the depth infinite)."""
         lengths = [len(k) for k in self.terms if k]
         return min(lengths) if lengths else None
 
@@ -222,14 +225,3 @@ def expand(w: GroupWord, vars: VariableSet) -> MagnusPoly:
         terms.update(zip(compress(permutations(asc), coeffs), filter(None, coeffs)))
     return MagnusPoly(terms)
 
-
-def is_trivial_word(w: GroupWord, vars: VariableSet) -> bool:
-    """True iff w is trivial in the free Milnor group (expansion == 1)."""
-    return expand(w, vars).is_one()
-
-
-def lcs_degree(w: GroupWord, vars: VariableSet) -> int | None:
-    """Lower-central-series degree: the smallest length of a monomial
-    with nonzero coefficient in expand(w) - 1; None when the expansion
-    is exactly 1 (depth is infinite)."""
-    return expand(w, vars).min_degree()

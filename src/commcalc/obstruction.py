@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable
@@ -534,9 +535,10 @@ def integer_search(
         raise ValueError(f"{count} solutions with |v| <= {bound} exceed the limit of {MAX_HEADS}")
     order = [v for names, _, _ in plans for v in names]
     canon = tuple(v for v in VARIABLES if v in order)
-    place = [order.index(v) for v in canon]
-    flats = (tuple(x for sol in combo for x in sol) for combo in itertools.product(*parts))
-    return canon, sorted(tuple(flat[i] for i in place) for flat in flats)
+    # every row holds two or more variables, so itemgetter returns a
+    # tuple; with no rows there is nothing to pick from the one empty join
+    pick = operator.itemgetter(*map(order.index, canon)) if canon else tuple
+    return canon, sorted(pick(sum(combo, ())) for combo in itertools.product(*parts))
 
 
 def _variables_of(eq: Equation) -> set:

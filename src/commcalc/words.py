@@ -34,10 +34,6 @@ class WordError(ValueError):
     pass
 
 
-class UnknownGeneratorError(WordError):
-    """A name not declared in the session alphabet."""
-
-
 class UnmappedGeneratorError(WordError):
     """A generator with no Magnus variable assigned to it."""
 
@@ -107,21 +103,6 @@ class Alphabet:
     def __contains__(self, name: str) -> bool:
         return name in self._names
 
-    def __getitem__(self, name: str) -> str:
-        if name not in self._names:
-            raise UnknownGeneratorError(
-                f"unknown generator {name!r}; alphabet is {list(self._names)}"
-            )
-        return name
-
-    def word(self, text: str) -> "GroupWord":
-        """Convenience: parse text and flatten it to a reduced word.
-        Empty text denotes the identity (expressions have no empty
-        form, words do)."""
-        if not text.strip():
-            return GroupWord()
-        return expr_to_word(parse_expr(text, self))
-
 
 def _name_end(text: str, start: int) -> int:
     """End of the generator name at text[start] -- a letter, then
@@ -168,12 +149,15 @@ MAX_WORD_LENGTH = 10**6
 
 
 def _reduce_letters(letters) -> tuple:
+    """Freely reduce (name, sign) pairs with a stack, keeping each pair
+    given (as a tuple), so a power's repeated letters stay shared."""
     out: list = []
-    for g, s in letters:
+    for letter in letters:
+        g, s = letter
         if out and out[-1][0] == g and out[-1][1] == -s:
             out.pop()
         else:
-            out.append((g, s))
+            out.append(tuple(letter))
     return tuple(out)
 
 
@@ -228,9 +212,6 @@ class GroupWord(_Value):
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def generators(self) -> set[str]:
-        return {g for g, _ in self.letters}
 
     def __str__(self) -> str:
         if not self.letters:

@@ -201,6 +201,23 @@ def test_verify_families(capsys):
     assert all(payload["families"][k]["all_residuals_zero"] for k in ("1", "2", "3"))
 
 
+def test_a_failing_family_fails_verify_families(capsys, monkeypatch):
+    # family 1 with the sign of c3 flipped misses rows at every grid point
+    family_1 = obstruction.FAMILIES[1]
+    monkeypatch.setitem(obstruction.FAMILIES, 1,
+                        lambda b1, b5: {**family_1(b1, b5), "c3": -family_1(b1, b5)["c3"]})
+    report = obstruction.verify_family(1)
+    assert not report["all_residuals_zero"] and len(report["failures"]) == 169
+    labels = {eq.label for eq in obstruction.obstruction_system()}
+    for failure in report["failures"]:
+        assert len(failure["point"]) == 2 and all(isinstance(x, str) for x in failure["point"])
+        assert failure["residuals"] and set(failure["residuals"]) <= labels
+        assert all(isinstance(v, str) for v in failure["residuals"].values())
+    code, out, err = run(capsys, "verify", "families")
+    assert code == 1 and err == ""
+    assert "families on the 13x13 grid: 1: FAIL, 2: pass, 3: pass;" in out
+
+
 def test_json_reports_are_stable(capsys):
     _, first, _ = run_json(capsys, "verify", "lemma41", "--json")
     _, second, _ = run_json(capsys, "verify", "lemma41", "--json")
@@ -236,6 +253,15 @@ def test_system_search_unknown_row_label_exits_2(capsys):
         capsys, "system", "search", "--bound", "2", "--subsystem", "1", "--json"
     )
     assert code == 0 and report["payload"]["count"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("system", "search", "--bound", "-1"),
+    ("system", "search", "--bound", "-1", "--subsystem", "2,3"),
+    ("verify", "all", "--bound", "-1"),
+])
+def test_negative_bound_exits_2(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: bound must be >= 0\n")
 
 
 @pytest.mark.parametrize("subsystem", ["", ",", " , "])

@@ -50,7 +50,7 @@ def test_unsubstituted_word_depth():
     alphabet = Alphabet(["m2", "m3", "m4", "a", "b"])
     all_vars = magnus.VariableSet.from_generators(alphabet.generators)
     word = expr_to_word(parse_expr(hopf.L1_TEXT, alphabet))
-    assert magnus.lcs_degree(word, all_vars) == 3
+    assert magnus.expand(word, all_vars).min_degree() == 3
 
 
 def test_find_substitutions_bound_1():

@@ -296,19 +296,18 @@ def test_group_to_lie_compatibility():
         d = rng.randrange(2, 6)
         indices = rng.sample(range(2, 8), d)
         tree = _random_tree(rng, indices)
-        alphabet = words.Alphabet([f"m{i}" for i in sorted(indices)])
-        vars_ = magnus.VariableSet.from_generators(alphabet.generators)
-        word = _tree_word(tree, alphabet)
+        vars_ = magnus.VariableSet.from_generators(f"m{i}" for i in sorted(indices))
+        word = _tree_word(tree)
         poly = magnus.expand(word, vars_)
         assert degree_part(poly, d) == expand_tree(tree)
         lower = {k: v for k, v in poly.terms.items() if 0 < len(k) < d}
         assert not lower
 
 
-def _tree_word(tree, alphabet):
+def _tree_word(tree):
     if isinstance(tree, int):
-        return words.GroupWord.generator(alphabet[f"m{tree}"])
-    return words.commutator(_tree_word(tree[0], alphabet), _tree_word(tree[1], alphabet))
+        return words.GroupWord.generator(f"m{tree}")
+    return words.commutator(_tree_word(tree[0]), _tree_word(tree[1]))
 
 
 def test_comm_expr_to_tree():

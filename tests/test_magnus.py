@@ -10,19 +10,24 @@ import pytest
 from magnus_reference import degree_part, letter_by_letter, product
 
 from commcalc import magnus
-from commcalc.magnus import (
-    MagnusPoly,
-    VariableSet,
-    expand,
-    is_trivial_word,
-    lcs_degree,
+from commcalc.magnus import MagnusPoly, VariableSet, expand
+from commcalc.words import (
+    Alphabet,
+    GroupWord,
+    UnmappedGeneratorError,
+    commutator,
+    expr_to_word,
+    parse_expr,
 )
-from commcalc.words import Alphabet, GroupWord, UnmappedGeneratorError, commutator
 
 ABC = Alphabet(["g1", "g2", "g3"])
 VARS = VariableSet.from_generators(ABC.generators)
 G1, G2, G3 = (GroupWord.generator(g) for g in ABC.generators)
 SIX = Alphabet([f"g{i}" for i in range(1, 7)])
+
+
+def _word(text: str, alphabet: Alphabet) -> GroupWord:
+    return expr_to_word(parse_expr(text, alphabet))
 
 
 def test_single_letter_expansions():
@@ -43,8 +48,7 @@ def test_commutator_expansion():
 
 
 def test_unmapped_generator_error():
-    other = Alphabet(["h"])
-    h = GroupWord.generator(other["h"])
+    h = GroupWord.generator("h")
     with pytest.raises(UnmappedGeneratorError):
         expand(h, VARS)
     # of several unmapped names the first in the word is reported
@@ -57,10 +61,10 @@ def test_a_generator_is_its_name():
     # generator: the letters cancel, and the word expands under either
     # alphabet's variables
     xy, yx = Alphabet(["x", "y"]), Alphabet(["y", "x"])
-    w = GroupWord.generator(xy["x"]) * GroupWord.generator(yx["x"], -1)
+    w = _word("x", xy) * _word("x^-1", yx)
     assert w.is_identity() and w == GroupWord()
-    assert (xy.word("[x,y]") * yx.word("[x,y]").inverse()).is_identity()
-    mixed = xy.word("x") * yx.word("y")
+    assert (_word("[x,y]", xy) * _word("[x,y]", yx).inverse()).is_identity()
+    mixed = _word("x", xy) * _word("y", yx)
     for alphabet, render in ((xy, "1 + x1 + x2 + x1x2"), (yx, "1 + x1 + x2 + x2x1")):
         vars_ = VariableSet.from_generators(alphabet.generators)
         assert expand(w, vars_).is_one()
@@ -101,15 +105,15 @@ def test_squarefree_closure_random():
 
 
 def test_triviality():
-    assert is_trivial_word(GroupWord(), VARS)
-    assert not is_trivial_word(commutator(G1, G2), VARS)
+    assert expand(GroupWord(), VARS).is_one()
+    assert not expand(commutator(G1, G2), VARS).is_one()
 
 
 def test_lcs_degree_values():
-    assert lcs_degree(G1, VARS) == 1
-    assert lcs_degree(commutator(G1, G2), VARS) == 2
-    assert lcs_degree(commutator(commutator(G1, G2), G3), VARS) == 3
-    assert lcs_degree(GroupWord(), VARS) is None
+    assert expand(G1, VARS).min_degree() == 1
+    assert expand(commutator(G1, G2), VARS).min_degree() == 2
+    assert expand(commutator(commutator(G1, G2), G3), VARS).min_degree() == 3
+    assert expand(GroupWord(), VARS).min_degree() is None
 
 
 def test_left_to_right_coefficient_convention():
@@ -292,7 +296,7 @@ def test_a_support_whose_coefficients_cancel_reaches_nothing(monkeypatch):
     # so {2, 3} is never reached: 14 slots, where reaching it makes 16
     monkeypatch.setattr(magnus, "MAX_TERMS", 14)
     a = Alphabet(["m1", "m2", "m3"])
-    assert expand(a.word("m3*m2*m1*m2^-1"), VariableSet.from_generators(a.generators)).terms == {
+    assert expand(_word("m3*m2*m1*m2^-1", a), VariableSet.from_generators(a.generators)).terms == {
         (): 1, (1,): 1, (3,): 1, (1, 2): -1, (2, 1): 1, (3, 1): 1, (3, 1, 2): -1, (3, 2, 1): 1,
     }
 
@@ -303,7 +307,7 @@ def test_refusal_stops_at_the_support_that_passes_the_limit():
     # peak of about 12 MB at this width), so the expansion must stop at
     # the first support that passes the limit
     names = [f"m{i}" for i in range(1, 10)]
-    w = Alphabet(names).word("m9^50*(" + "*".join(f"{g}^50" for g in names[:8]) + ")^8")
+    w = _word("m9^50*(" + "*".join(f"{g}^50" for g in names[:8]) + ")^8", Alphabet(names))
     vars_ = VariableSet.from_generators(names)
     tracemalloc.start()
     try:
@@ -338,7 +342,7 @@ def test_many_distinct_generators_are_refused_quickly_in_little_memory():
 @pytest.mark.parametrize("sign", [1, -1])
 def test_largest_coefficient_of_a_longest_word(sign):
     # 10^6 letters, the most a word may have: x1x2 is sign * 500 000^2
-    w = Alphabet(["m1", "m2"]).word(f"m1^500000*m2^{sign * 500_000}")
+    w = _word(f"m1^500000*m2^{sign * 500_000}", Alphabet(["m1", "m2"]))
     assert len(w) == 1_000_000
     assert expand(w, VariableSet.from_generators(["m1", "m2"])).terms == {
         (): 1, (1,): 500_000, (2,): sign * 500_000, (1, 2): sign * 250_000_000_000,
@@ -390,10 +394,10 @@ def test_mixed_signs_in_one_support_decode_exactly():
     # each case puts coefficients of both signs side by side in one support
     a = Alphabet(["m1", "m2", "m3", "m4"])
     vars_ = VariableSet.from_generators(a.generators)
-    assert expand(a.word("[m1,m2]"), vars_).terms == {(): 1, (1, 2): 1, (2, 1): -1}
-    assert expand(a.word("[m2,m1]"), vars_).terms == {(): 1, (1, 2): -1, (2, 1): 1}
+    assert expand(_word("[m1,m2]", a), vars_).terms == {(): 1, (1, 2): 1, (2, 1): -1}
+    assert expand(_word("[m2,m1]", a), vars_).terms == {(): 1, (1, 2): -1, (2, 1): 1}
     for text in ("[[m1,m2],m3]", "[[m1^3,m2^-2],[m3,m4^5]]", "[m1^-7*m3,[m2^4,m4^-1]]^3"):
-        w = a.word(text)
+        w = _word(text, a)
         p = expand(w, vars_)
         assert p == letter_by_letter(w, vars_)
         top = [c for k, c in p.terms.items() if len(k) == max(map(len, p.terms))]

@@ -650,3 +650,20 @@ def test_parity_refutation_needs_every_cubic_row(label):
         row = change(obstruction._TABLE[label - 1])
         assert (others & parity_set(row.terms, row.target) != 0) == (label in CUBIC)
         assert parity_solvable(_mutated(label, change)) == (label in CUBIC)
+
+
+def test_the_families_catch_every_sign_flip_but_row_15s_c1_a5():
+    # each of the 28 terms of rows (2)-(15) with its sign flipped, on the
+    # three families' 13 x 13 grids: the one flip no family sees is row
+    # (15)'s c1*a5, because family 1 has c1 = 0 and families 2 and 3 a5 = 0
+    points = [(fid, family_assignment(fid, b1, b5))
+              for fid in FAMILIES for b1 in range(1, 14) for b5 in range(1, 14)]
+    mutants = [(eq.label, k) for eq in obstruction._TABLE[1:] for k in range(len(eq.terms))]
+    survivors = [
+        (label, obstruction._TABLE[label - 1].terms[k]) for label, k in mutants
+        if all(v.is_zero() for _, env in points
+               for v in evaluate(_mutated(label, _flip_sign(k)), env).values())
+    ]
+    assert len(mutants) == 28
+    assert survivors == [(15, (1, ("c1", "a5")))]
+    assert all((env["c1"] if fid == 1 else env["a5"]).is_zero() for fid, env in points)

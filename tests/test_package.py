@@ -20,10 +20,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Every name the package re-exports, by the layer that defines it.
 REEXPORTS = {
     words: ["Alphabet", "CommExpr", "Commutator", "Conjugate", "GroupWord", "Inverse",
-            "Leaf", "ParseError", "Product", "UnknownGeneratorError",
-            "UnmappedGeneratorError", "WordError", "commutator", "expr_to_word",
-            "parse_expr", "print_expr", "substitute"],
-    magnus: ["MagnusPoly", "VariableSet", "expand", "is_trivial_word", "lcs_degree"],
+            "Leaf", "ParseError", "Product", "UnmappedGeneratorError", "WordError",
+            "commutator", "expr_to_word", "parse_expr", "print_expr", "substitute"],
+    magnus: ["MagnusPoly", "VariableSet", "expand"],
     lie: ["RationalMatrix", "TreeError", "expand_tree", "right_normed", "to_basis",
           "verify_appendix_identity", "verify_lemma_w"],
     obstruction: ["PoleError", "QSqrt3", "evaluate", "integer_search", "obstruction_system",

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,6 @@ from commcalc.words import (
     Leaf,
     ParseError,
     Product,
-    UnknownGeneratorError,
     WordError,
     commutator,
     expr_to_word,
@@ -41,7 +41,7 @@ X, Y, Z = (GroupWord.generator(g) for g in ABC.generators)
 def test_parse_simple_commutator():
     alpha = Alphabet(["m3", "m4"])
     e = parse_expr("[m3,m4]", alpha)
-    assert e == Commutator(Leaf(alpha["m3"]), Leaf(alpha["m4"]))
+    assert e == Commutator(Leaf("m3"), Leaf("m4"))
 
 
 def test_parse_l1_expression_shape():
@@ -51,37 +51,37 @@ def test_parse_l1_expression_shape():
     assert isinstance(e.left, Product) and len(e.left.factors) == 2
     inner = e.left.factors[0]
     assert inner == Commutator(
-        Leaf(alpha["m3"]), Product((Leaf(alpha["m4"]), Leaf(alpha["b"])))
+        Leaf("m3"), Product((Leaf("m4"), Leaf("b")))
     )
-    assert e.right == Product((Leaf(alpha["m2"]), Leaf(alpha["a"])))
+    assert e.right == Product((Leaf("m2"), Leaf("a")))
 
 
 def test_parse_nested_commutator():
     alpha = Alphabet(["m2", "m3", "m4", "m5", "m6"])
     e = parse_expr("[m2,[[m3,m4],[m5,m6]]]", alpha)
     assert e == Commutator(
-        Leaf(alpha["m2"]),
+        Leaf("m2"),
         Commutator(
-            Commutator(Leaf(alpha["m3"]), Leaf(alpha["m4"])),
-            Commutator(Leaf(alpha["m5"]), Leaf(alpha["m6"])),
+            Commutator(Leaf("m3"), Leaf("m4")),
+            Commutator(Leaf("m5"), Leaf("m6")),
         ),
     )
 
 
 def test_parse_conjugation_and_power():
     e = parse_expr("x^y", ABC)
-    assert e == Conjugate(Leaf(ABC["x"]), Leaf(ABC["y"]))
+    assert e == Conjugate(Leaf("x"), Leaf("y"))
     e = parse_expr("x^-1", ABC)
-    assert e == Inverse(Leaf(ABC["x"]))
+    assert e == Inverse(Leaf("x"))
     e = parse_expr("x^2", ABC)
-    assert e == Product((Leaf(ABC["x"]), Leaf(ABC["x"])))
+    assert e == Product((Leaf("x"), Leaf("x")))
     e = parse_expr("x^-2", ABC)
-    assert e == Inverse(Product((Leaf(ABC["x"]), Leaf(ABC["x"]))))
+    assert e == Inverse(Product((Leaf("x"), Leaf("x"))))
 
 
 def test_inverse_binds_tighter_than_product():
     e = parse_expr("x*y^-1", ABC)
-    assert e == Product((Leaf(ABC["x"]), Inverse(Leaf(ABC["y"]))))
+    assert e == Product((Leaf("x"), Inverse(Leaf("y"))))
 
 
 def test_whitespace_insignificant():
@@ -102,8 +102,6 @@ def test_unknown_generator_rejected():
     with pytest.raises(ParseError) as err:
         parse_expr("[x,w]", ABC)
     assert "unknown generator 'w'" in str(err.value)
-    with pytest.raises(UnknownGeneratorError):
-        ABC["nope"]
 
 
 def test_one_name_rule():
@@ -144,7 +142,7 @@ def test_nesting_depth_limited():
         parens = "(" * depth + "x" + ")" * depth
         if depth <= MAX_NESTING:
             assert print_expr(parse_expr(brackets, ABC)) == brackets
-            assert parse_expr(parens, ABC) == Leaf(ABC["x"])
+            assert parse_expr(parens, ABC) == Leaf("x")
             continue
         for text in (brackets, parens):
             with pytest.raises(ParseError, match="nesting deeper than") as err:
@@ -171,7 +169,7 @@ def test_conjugation_convention():
 
 
 def test_free_reduction_cancels():
-    w = GroupWord(((ABC["x"], 1), (ABC["x"], -1)))
+    w = GroupWord((("x", 1), ("x", -1)))
     assert w.is_identity()
     assert GroupWord(w.letters) == w
 
@@ -384,9 +382,9 @@ def test_value_constructors_check_and_normalise():
 def test_parse_print_parse_is_parse_even_for_singleton_products():
     # a hand-built one-factor product prints as its factor; one reparse
     # reaches the parser's normal form, which is then a fixed point
-    e = Product((Leaf(ABC["y"]),))
+    e = Product((Leaf("y"),))
     once = parse_expr(print_expr(e), ABC)
-    assert once == Leaf(ABC["y"])
+    assert once == Leaf("y")
     assert parse_expr(print_expr(once), ABC) == once
 
 
@@ -398,15 +396,15 @@ def test_substitution_identity_map_is_flattening():
 
 def test_substitution_collapse():
     e = parse_expr("[x,y]", ABC)
-    assert substitute(e, {ABC["y"]: X}).is_identity()
+    assert substitute(e, {"y": X}).is_identity()
     # unmapped leaves stand for themselves
-    assert substitute(e, {ABC["x"]: X}) == commutator(X, Y)
+    assert substitute(e, {"x": X}) == commutator(X, Y)
 
 
 def test_substitution_inverts_for_negative_signs():
     e = parse_expr("y^-1", ABC)
     image = X * Z
-    assert substitute(e, {ABC["y"]: image}) == image.inverse()
+    assert substitute(e, {"y": image}) == image.inverse()
 
 
 def _random_runs(rng, gens, max_runs=8) -> GroupWord:
@@ -479,7 +477,7 @@ def test_inverse_of_reduced_word_is_reduced():
 
 
 def test_exponent_limited():
-    assert parse_expr(f"x^{MAX_WORD_LENGTH}", ABC) == Product((Leaf(ABC["x"]),) * MAX_WORD_LENGTH)
+    assert parse_expr(f"x^{MAX_WORD_LENGTH}", ABC) == Product((Leaf("x"),) * MAX_WORD_LENGTH)
     for text in (f"x^{MAX_WORD_LENGTH + 1}", f"x^-{MAX_WORD_LENGTH + 1}", "x^" + "9" * 30):
         with pytest.raises(ParseError, match="exponent larger than") as err:
             parse_expr(text, ABC)
@@ -515,3 +513,24 @@ def test_long_power_builds_in_linear_time():
     w = expr_to_word(parse_expr("x^10000*y*x^-10000*(y*x)^5000", ABC))
     assert time.perf_counter() - t0 < 0.5
     assert len(w) == 10000 + 1 + 10000 + 10000
+
+
+def test_a_word_keeps_the_letters_it_is_given():
+    # a power repeats its factor's letter objects; reduction keeps them
+    # rather than building a pair per letter, which took a million-letter
+    # word to a 78 MiB peak (24 MiB now)
+    names = [f"m{i}" for i in range(1, 9)]
+    text = "(" + "*".join(names) + ")^125000"
+    alphabet = Alphabet(names)
+    tracemalloc.start()
+    try:
+        w = expr_to_word(parse_expr(text, alphabet))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w) == 1_000_000 and len(set(map(id, w.letters))) == 8
+    assert peak < 40 * 2**20
+    # a list pair is stored as a tuple, and a malformed pair still fails
+    assert GroupWord([["x", 1]]).letters == (("x", 1),)
+    with pytest.raises(ValueError):
+        GroupWord((("x", 1, 1),))
