@@ -104,13 +104,30 @@ LEMMA_EXPECTED = {
 }
 
 
+def _expect(payload: dict, expected: dict) -> None:
+    """Record the expected values; the payload passes if it has them all."""
+    payload["expected"] = expected
+    payload["passed"] = all(payload[k] == v for k, v in expected.items())
+
+
 def _lemma_section(args) -> tuple:
     payload = lie.verify_lemma_w()
     payload["basis_rank"] = lie.basis_rank()
     payload["small_degree_ranks"] = {str(d): lie.quotient_dim(range(2, 2 + d)) for d in (2, 3, 4)}
-    payload["expected"] = LEMMA_EXPECTED
-    payload["passed"] = all(payload[k] == v for k, v in LEMMA_EXPECTED.items())
-    return payload, [lie.render_lemma_report(payload)]
+    _expect(payload, LEMMA_EXPECTED)
+    lines = [  # the 15 x 24 coordinate rank is the 15 x 120 one
+        f"{label}: {payload[k]} (expected {LEMMA_EXPECTED[k]})"
+        for label, k in (("rank of the 15x120 generator matrix", "rank"),
+                         ("left-kernel dimension", "kernel_dim"),
+                         ("kernel vector", "kernel"),
+                         ("quotient dimension", "quotient_dim"))
+    ]
+    bad = [i + 1 for i, ok in enumerate(payload["generator_label_matches_table"]) if not ok]
+    if bad:
+        lines.append(f"note: printed rows {bad} do not match their labels' direct expansions "
+                     f"(tabulated sign slips; direct expansions alone have rank "
+                     f"{payload['literal_label_rank']})")
+    return payload, lines
 
 
 def _appendix_section(args) -> tuple:
@@ -129,7 +146,7 @@ def _hopf_section(args) -> tuple:
     h["substitutions_bound1"] = [list(t) for t in hopf.find_substitutions(1)]
     twisted = [list(t) for t in hopf.find_substitutions(2, twisted=True)]
     h["twisted_band"] = {"bound": 2, "found": twisted, "solvable": bool(twisted)}
-    h["passed"] = (h["all_passed"] and [1, 1, -1] in h["substitutions_bound1"]
+    h["passed"] = (h["all_passed"] and list(hopf.BAND_SUM) in h["substitutions_bound1"]
                    and h["twisted_band"]["solvable"])
     return h, [
         f"substituted longitude: {h['substituted_word'] or '1'} -> "
@@ -148,19 +165,20 @@ FAMILY1_SAMPLE_POINT = {
 
 
 def _families_section(args) -> tuple:
-    reports = {str(k): obstruction.verify_family(k) for k in (1, 2, 3)}
+    reports = {str(k): obstruction.verify_family(k) for k in obstruction.FAMILIES}
     point = {v: parse_scalar(x) for v, x in FAMILY1_SAMPLE_POINT.items()}
     sample = obstruction.evaluate(obstruction.obstruction_system(), point)
     sample_zero = all(v.is_zero() for v in sample.values())
+    size = len(obstruction.GRID)
     payload = {
-        "grid_size": 13,
+        "grid_size": size,
         "families": reports,
         "sample_point_residuals_zero": sample_zero,
         "passed": (all(r["all_residuals_zero"] for r in reports.values()) and sample_zero
                    and all(reports["1"]["closed_form_facts"].values())),
     }
     return payload, [
-        "families on the 13x13 grid: "
+        f"families on the {size}x{size} grid: "
         + ", ".join(
             f"{k}: {'pass' if v['all_residuals_zero'] else 'FAIL'}"
             for k, v in sorted(reports.items())
@@ -171,8 +189,7 @@ def _families_section(args) -> tuple:
 
 def _transcription_section(args) -> tuple:
     check = obstruction.transcription_check()
-    check["expected"] = {"all_agree": True, "flagged_rows": [9]}
-    check["passed"] = check["all_agree"] and check["flagged_rows"] == [9]
+    _expect(check, {"all_agree": True, "flagged_rows": [9]})
     return check, [
         f"dual-source transcription: agree={check['all_agree']}, "
         f"flagged rows {check['flagged_rows']}"

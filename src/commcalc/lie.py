@@ -205,19 +205,10 @@ def _read_off(t: CommTree) -> dict | None:
 
 
 def render_combination(coeffs: dict) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for i, p in enumerate(sorted(coeffs)):
-        c = coeffs[p]
-        body = tree_text(right_normed(p))
-        if abs(c) != 1:
-            body = f"{abs(c)}*{body}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    from .words import signed_sum  # here, so that `verify lemma41` never loads words
+
+    texts = ((c, tree_text(right_normed(p))) for p, c in sorted(coeffs.items()))
+    return signed_sum((c, t if abs(c) == 1 else f"{abs(c)}*{t}") for c, t in texts)
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +401,3 @@ def basis_rank() -> int | None:
     (they form the identity on the monomials ending in 6), else None."""
     ok = all(_read_off(right_normed(p)) == {p: 1} for p in BASIS_PERMS)
     return len(BASIS_PERMS) if ok else None
-
-
-def render_lemma_report(report: dict) -> str:
-    lines = [  # the 15 x 24 coordinate rank is the 15 x 120 one
-        f"rank of the 15x120 generator matrix: {report['rank']} (expected 14)",
-        f"left-kernel dimension: {report['kernel_dim']} (expected 1)",
-        f"kernel vector: {report['kernel']} (expected all-ones)",
-        f"quotient dimension: {report['quotient_dim']} (expected 24)",
-    ]
-    bad = [i + 1 for i, ok in enumerate(report["generator_label_matches_table"]) if not ok]
-    if bad:
-        lines.append(
-            f"note: printed rows {bad} do not match their labels' direct expansions "
-            f"(tabulated sign slips; direct expansions alone have rank "
-            f"{report['literal_label_rank']})"
-        )
-    return "\n".join(lines)

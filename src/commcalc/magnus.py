@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable
-from itertools import compress, groupby, islice, permutations, repeat
+from itertools import chain, compress, groupby, islice, permutations, repeat
 from math import factorial
 from operator import itemgetter, lshift, or_
 
-from .words import GroupWord, UnmappedGeneratorError, _Value, trailing_index
+from .words import GroupWord, UnmappedGeneratorError, _Value, signed_sum, trailing_index
 
 
 class VariableSet(_Value):
@@ -97,20 +97,13 @@ class MagnusPoly:
 
     def render(self) -> str:
         """Deterministic text form, monomials in graded lex order."""
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms, key=lambda k: (len(k), k))
-        parts = []
-        for i, k in enumerate(keys):
-            c = self.terms[k]
-            mono = "1" if not k else "".join(f"x{j}" for j in k)
-            mag = abs(c)
-            body = mono if mag == 1 and k else (f"{mag}" if not k else f"{mag}{mono}")
-            if i == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        by_degree: dict = {}  # each degree sorts by plain tuple order, with no key
+        for k in self.terms:
+            by_degree.setdefault(len(k), []).append(k)
+        x = {i: f"x{i}" for i in set(chain.from_iterable(self.terms))}
+        keys = chain.from_iterable(sorted(by_degree[d]) for d in sorted(by_degree))
+        monos = ((self.terms[k], "".join(map(x.__getitem__, k))) for k in keys)
+        return signed_sum((c, (m if abs(c) == 1 else f"{abs(c)}{m}") or "1") for c, m in monos)
 
     def __repr__(self) -> str:
         return f"MagnusPoly({self.render()})"

@@ -409,6 +409,9 @@ def _family_3(b1, b5) -> dict:
 
 FAMILIES: dict = {1: _family_1, 2: _family_2, 3: _family_3}
 
+#: The values of b1 and of b5 on the families' grid {1..13}^2.
+GRID = range(1, 14)
+
 
 def family_assignment(family_id: int, b1, b5) -> dict:
     """The point of family `family_id` at parameters (b1, b5); raises
@@ -421,8 +424,8 @@ def family_assignment(family_id: int, b1, b5) -> dict:
 
 
 def verify_family(family_id: int) -> dict:
-    """Evaluate a family exactly at every point (b1, b5) of the
-    13 x 13 grid {1..13}^2.
+    """Evaluate a family exactly at every point (b1, b5) of GRID^2,
+    the 13 x 13 grid {1..13}^2.
 
     After clearing denominators, each residual numerator is a
     polynomial of degree at most 12 in each of b1 and b5, so vanishing
@@ -435,7 +438,7 @@ def verify_family(family_id: int) -> dict:
         raise ValueError(f"family id must be 1..3, got {family_id}")
     system = obstruction_system()
     points = [(b1, b5, family_assignment(family_id, b1, b5))
-              for b1 in range(1, 14) for b5 in range(1, 14)]
+              for b1 in GRID for b5 in GRID]
     failures = []
     for b1, b5, env in points:
         res = evaluate(system, env)

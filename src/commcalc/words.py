@@ -440,6 +440,16 @@ def _print_factor(e: CommExpr) -> str:
     return print_expr(e)
 
 
+def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """The text "a + b - c" of (coefficient, text) pairs in the order
+    given, each text its term's magnitude signed by its coefficient;
+    "0" when there are none."""
+    text = " ".join(f"+ {t}" if c > 0 else f"- {t}" for c, t in terms)
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 # --- evaluation ------------------------------------------------------------
 
 

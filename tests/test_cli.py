@@ -16,7 +16,7 @@ import time
 import pytest
 from search_reference import reference_search
 
-from commcalc import lie, magnus, obstruction
+from commcalc import cli, lie, magnus, obstruction
 from commcalc.cli import main, parse_scalar
 from commcalc.obstruction import VARIABLES, QSqrt3, family_assignment
 from fractions import Fraction
@@ -556,21 +556,75 @@ def test_quotient_dim_failure_fails_lemma41(capsys, monkeypatch, perm, monomial,
     assert out.splitlines()[-1] == "verdict: FAIL"
 
 
+def test_lemma41_text_reads_the_expected_values(capsys, monkeypatch):
+    # the "(expected ...)" of each line is the reference value the
+    # verdict is held against, so changing one changes both
+    monkeypatch.setattr(cli, "LEMMA_EXPECTED", {**cli.LEMMA_EXPECTED, "rank": 13})
+    code, out, err = run(capsys, "verify", "lemma41")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "rank of the 15x120 generator matrix: 14 (expected 13)"
+    assert lines[-1] == "verdict: FAIL"
+    code, report, _ = run_json(capsys, "verify", "lemma41", "--json")
+    assert code == 1 and report["payload"]["expected"]["rank"] == 13
+
+
+def test_families_section_reads_the_grid(capsys, monkeypatch):
+    # the grid size and the text are read from the grid the families
+    # are evaluated on
+    monkeypatch.setattr(obstruction, "GRID", range(1, 3))
+    code, report, _ = run_json(capsys, "verify", "families", "--json")
+    assert code == 0
+    payload = report["payload"]
+    assert payload["grid_size"] == 2
+    assert {k: f["grid_points"] for k, f in payload["families"].items()} == {
+        "1": 4, "2": 4, "3": 4,
+    }
+    code, out, err = run(capsys, "verify", "families")
+    assert code == 0 and err == ""
+    assert out.startswith("families on the 2x2 grid: 1: pass, 2: pass, 3: pass;")
+
+
 def test_grid_option_removed(capsys):
     code, out, err = run(capsys, "verify", "families", "--grid", "13")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --grid" in err
 
 
+#: The arguments of `magnus` whose expansion has coefficients +-2 and +-4
+SQUARE_COMMUTATOR = ("magnus", "[m1^2,m2]*m3^-2", "--vars", "m1,m2,m3")
+#: A `magnus` word over four generators with runs of 3 and -2
+NESTED = ("magnus", "[[m1,m2],m3]*m4^3*[m1,m4]^-2", "--vars", "m1,m2,m3,m4")
+#: A `lie to-basis` input whose combination starts with a negative term
+TO_BASIS = ("lie", "to-basis", "[[m6,m3],[[m4,m2],m5]]")
+
+
 @pytest.mark.parametrize("argv,golden", [
     (("verify", "families", "--json"), "verify_families.json"),
     (("verify", "all", "--json", "--bound", "2"), "verify_all_bound2.json"),
+    (("system", "search", "--bound", "5", "--json"), "system_search_bound5.json"),
+    (("system", "search", "--bound", "2", "--subsystem", "2,3", "--json"),
+     "system_search_bound2_rows23.json"),
+    ((*SQUARE_COMMUTATOR, "--json"), "magnus_square_commutator.json"),
+    ((*TO_BASIS, "--json"), "lie_to_basis.json"),
 ])
 def test_json_matches_golden(capsys, argv, golden):
     # byte-identical to the checked-in report once the timing line is cut
     code, out, _ = run(capsys, *argv)
     assert code == 0
     out = re.sub(r'^  "timing_ms": [0-9.e+-]+,\n', "", out, count=1, flags=re.M)
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (("system", "search", "--bound", "5"), "system_search_bound5.txt"),
+    (SQUARE_COMMUTATOR, "magnus_square_commutator.txt"),
+    (NESTED, "magnus_nested.txt"),
+    (TO_BASIS, "lie_to_basis.txt"),
+])
+def test_text_matches_golden(capsys, argv, golden):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
 
 

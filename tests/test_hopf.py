@@ -12,7 +12,7 @@ from commcalc.hopf import (
     substituted_longitude,
     verify_hopf_triviality,
 )
-from commcalc.words import Alphabet, GroupWord, parse_expr, expr_to_word
+from commcalc.words import Alphabet, GroupWord, expr_to_word, parse_expr, substitute
 
 
 def test_band_sum_substitution_gives_collected_word():
@@ -25,6 +25,16 @@ def test_band_sum_substitution_gives_collected_word():
         parse_expr("[[m3,m4*m2^-1]*[m2^-1,m4],m2*m3*m4]", meridians)
     )
     assert word == direct
+
+
+def test_printed_substitution_is_the_band_sum():
+    # the report's substitution text, put into the longitude text, gives
+    # the word that the certificate expands
+    meridians = Alphabet(list(hopf.MERIDIANS))
+    printed = verify_hopf_triviality()["substitution"]
+    images = {name: expr_to_word(parse_expr(text, meridians)) for name, text in printed.items()}
+    longitude = parse_expr(hopf.L1_TEXT, Alphabet([*hopf.MERIDIANS, "a", "b"]))
+    assert substitute(longitude, images) == substituted_longitude(*hopf.BAND_SUM)
 
 
 def test_empty_substitution():

@@ -310,6 +310,37 @@ def _tree_word(tree):
     return words.commutator(_tree_word(tree[0]), _tree_word(tree[1]))
 
 
+def reference_render_combination(coeffs: dict) -> str:
+    """lie.render_combination as it was written before it shared the
+    signed-sum formatter."""
+    if not coeffs:
+        return "0"
+    parts = []
+    for i, p in enumerate(sorted(coeffs)):
+        c = coeffs[p]
+        body = tree_text(right_normed(p))
+        if abs(c) != 1:
+            body = f"{abs(c)}*{body}"
+        if i == 0:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def test_render_combination_matches_the_reference_formatter():
+    rng = random.Random(2702)
+    cases = [{}, {BASIS_PERMS[0]: -1}, {BASIS_PERMS[3]: 2}, {BASIS_PERMS[5]: -2}]
+    for _ in range(200):
+        perms = rng.sample(BASIS_PERMS, rng.randint(0, 8))
+        cases.append({p: rng.choice([-1, 1]) * rng.choice([1, 1, 2, 3, 12]) for p in perms})
+    for coeffs in cases:
+        assert lie.render_combination(coeffs) == reference_render_combination(coeffs), coeffs
+    assert lie.render_combination({BASIS_PERMS[1]: -2, BASIS_PERMS[0]: 1}) == (
+        "[m2,[m3,[m4,[m5,m6]]]] - 2*[m2,[m3,[m5,[m4,m6]]]]"
+    )
+
+
 def test_comm_expr_to_tree():
     alphabet = words.Alphabet(["m2", "m3", "m4", "m5", "m6"])
     e = words.parse_expr("[m2,[[m3,m4],[m5,m6]]]", alphabet)

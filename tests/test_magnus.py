@@ -149,6 +149,44 @@ def test_rendering_graded_lex():
     assert MagnusPoly({(1,): -1}).render() == "-x1"
 
 
+def reference_render(terms: dict) -> str:
+    """MagnusPoly.render as it was written before it shared the
+    signed-sum formatter: one sort by (degree, monomial), one loop."""
+    if not terms:
+        return "0"
+    keys = sorted(terms, key=lambda k: (len(k), k))
+    parts = []
+    for i, k in enumerate(keys):
+        c = terms[k]
+        mono = "1" if not k else "".join(f"x{j}" for j in k)
+        mag = abs(c)
+        body = mono if mag == 1 and k else (f"{mag}" if not k else f"{mag}{mono}")
+        if i == 0:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def test_rendering_matches_the_reference_formatter():
+    rng = random.Random(2701)
+    cases = [{}, {(): 1}, {(): -1}, {(): 2}, {(): -2}, {(1,): -1}, {(3,): -4, (): 1},
+             {(2, 1): -2, (1, 2): 2}, {(12, 3): 5, (3,): -1, (10,): 1}]
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            mono = tuple(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            terms[mono] = rng.choice([-1, 1]) * rng.choice([1, 1, 2, 3, 10, 2**70])
+        cases.append(terms)
+    firsts = set()
+    for terms in cases:
+        text = MagnusPoly(terms).render()
+        assert text == reference_render(terms), terms
+        firsts.add(text[0] == "-")
+    assert firsts == {True, False}  # both signs of a first term were seen
+
+
 def test_variable_set_indexing():
     named = Alphabet(["m2", "m5", "m9"])
     vs = VariableSet.from_generators(named.generators)
