@@ -8,14 +8,17 @@ the tuple of the 15 rows in label order.  This layer needs nothing
 from the others: its numbers are ints and QSqrt3s.
 
 Each family is a plain function (b1, b5) -> point in the source's
-printed shape, certified by exact evaluation on the fixed 13 x 13 grid
-(a degree bound makes that a proof; see verify_family).  Values in
-Q(sqrt 3) are QSqrt3s, three integers (a + b*sqrt(3))/d in lowest
-terms.  The grid pass is integer arithmetic that reduces once per
-row: a residual is summed in unreduced triples over a common
-denominator and put in lowest terms at the end.  The search is
-factored: rows sharing no variable are searched apart and joined by
-product, the variable order is planned from the rows, the last
+printed shape.  Values in Q(sqrt 3) are QSqrt3s, three integers
+(a + b*sqrt(3))/d in lowest terms.  A family is certified by calling it
+once on the monomials b1 and b5 themselves: its coordinates are then
+Laurent polynomials in (b1, b5) over Q(sqrt 3), and the proof is that
+its 15 residual polynomials are identically zero, which holds at every
+point off b1 * b5 = 0 (see verify_family).  The report's 13 x 13 grid
+is read off those residuals.  Exact evaluation sums a residual in
+unreduced triples over a common denominator and puts it in lowest
+terms once.  The search is factored: rows sharing no variable are
+searched apart and joined by product, the variable order is planned
+from the rows, the last
 variable a block's rows end at is solved rather than enumerated -- the
 last two together, by Cramer's rule, where two of its rows are jointly
 linear in them -- and a block whose rows read only its own variables
@@ -46,6 +49,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 
@@ -71,8 +75,10 @@ def _parts(x):
         return x._a, x._b, x._d
     if isinstance(x, int):
         return x, 0, 1
-    from fractions import Fraction  # here, so that the search and the families never load it
-    if isinstance(x, Fraction):
+    # no Fraction exists unless fractions is loaded; importing it here
+    # would load it (and decimal) for every foreign operand
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return x.numerator, 0, x.denominator
     return None
 
@@ -423,41 +429,128 @@ def family_assignment(family_id: int, b1, b5) -> dict:
     return FAMILIES[family_id](b1, b5)
 
 
-def verify_family(family_id: int) -> dict:
-    """Evaluate a family exactly at every point (b1, b5) of GRID^2,
-    the 13 x 13 grid {1..13}^2.
+class NotLaurentError(ArithmeticError):
+    """A family divides by a sum of terms in (b1, b5), so its points are
+    not Laurent polynomials and may have poles off b1 * b5 = 0."""
 
-    After clearing denominators, each residual numerator is a
-    polynomial of degree at most 12 in each of b1 and b5, so vanishing
-    on the grid forces it to be zero (Alon, "Combinatorial
-    Nullstellensatz", 1999): the grid pass is a proof of the family,
-    not a spot check.  Family 1's report also holds its closed-form
-    facts c3 = c4, c3 * b5 = -1/4 and c1 = 0, checked at the same points.
+
+class _Laurent:
+    """A Laurent polynomial over Q(sqrt 3) in (b1, b5): the terms
+    c * b1^i * b5^j as {(i, j): c}, no c zero.  Built from (key, c)
+    pairs, summing repeated keys.  ints, Fractions and QSqrt3s mix in
+    as constants, and it divides only by a single term."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, pairs):
+        terms: dict = {}
+        for k, c in pairs:
+            terms[k] = terms[k] + c if k in terms else c
+        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+
+    @staticmethod
+    def of(x):
+        """x as a _Laurent, or None if it is not a number."""
+        if isinstance(x, _Laurent):
+            return x
+        p = _parts(x)
+        return None if p is None else _Laurent([((0, 0), _reduced(*p))])
+
+    def __add__(self, o):
+        o = _Laurent.of(o)
+        return NotImplemented if o is None else _Laurent([*self.terms.items(), *o.terms.items()])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Laurent((k, -c) for k, c in self.terms.items())
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        o = _Laurent.of(o)
+        return NotImplemented if o is None else _Laurent(
+            ((i + k, j + l), c * e)
+            for (i, j), c in self.terms.items() for (k, l), e in o.terms.items())
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = _Laurent.of(o)
+        if o is None:
+            return NotImplemented
+        if len(o.terms) != 1:
+            raise NotLaurentError(f"divides by {len(o.terms)} terms in b1 and b5, not one")
+        [((i, j), c)] = o.terms.items()
+        return self * _Laurent([((-i, -j), 1 / c)])
+
+    def __rtruediv__(self, o):
+        o = _Laurent.of(o)
+        return NotImplemented if o is None else o / self
+
+    def __eq__(self, o):
+        o = _Laurent.of(o)
+        return NotImplemented if o is None else self.terms == o.terms
+
+    def at(self, b1: int, b5: int) -> QSqrt3:
+        """The value at nonzero ints (b1, b5), put in lowest terms once."""
+        a, b, d = 0, 0, 1
+        for (i, j), c in self.terms.items():
+            num = b1 ** max(i, 0) * b5 ** max(j, 0)
+            den = c._d * b1 ** max(-i, 0) * b5 ** max(-j, 0)
+            a, b, d = a * den + c._a * num * d, b * den + c._b * num * d, d * den
+        return _reduced(a, b, d)
+
+
+def verify_family(family_id: int) -> dict:
+    """Certify a family by one call on the monomials b1 and b5.
+
+    Every coordinate of the family is then a Laurent polynomial in
+    (b1, b5) over Q(sqrt 3), and so is each of its 15 residuals in row
+    order; all of them identically zero proves the family at every
+    (b1, b5) off its pole set b1 * b5 = 0.  The report keeps its 13 x 13
+    grid, GRID^2, read off the residuals: a point fails where a nonzero
+    residual polynomial is nonzero there, and a nonzero residual fails
+    the family even where no grid point shows it.  Family 1's
+    closed-form facts c3 = c4, 4 * b5 * c3 = -1 and c1 = 0 are checked
+    as identities.  A family that divides by a sum of terms raises
+    NotLaurentError.
     """
     if family_id not in FAMILIES:
         raise ValueError(f"family id must be 1..3, got {family_id}")
     system = obstruction_system()
-    points = [(b1, b5, family_assignment(family_id, b1, b5))
-              for b1 in GRID for b5 in GRID]
+    b1, b5 = _Laurent([((1, 0), QSqrt3(1))]), _Laurent([((0, 1), QSqrt3(1))])
+    try:
+        point = {v: _Laurent.of(x) for v, x in FAMILIES[family_id](b1, b5).items()}
+    except NotLaurentError as exc:
+        raise NotLaurentError(f"family {family_id} {exc}") from None
+    residuals = {}
+    for row in system:
+        poly = sum((c * math.prod(point[v] for v in mono) for c, mono in row.terms),
+                   _Laurent.of(-row.target))
+        if poly.terms:
+            residuals[row.label] = poly
     failures = []
-    for b1, b5, env in points:
-        res = evaluate(system, env)
-        bad = {k: str(v) for k, v in res.items() if not v.is_zero()}
+    for x, y in itertools.product(GRID, GRID):
+        values = {k: poly.at(x, y) for k, poly in residuals.items()}
+        bad = {k: str(v) for k, v in values.items() if not v.is_zero()}
         if bad:
-            failures.append({"point": (str(b1), str(b5)), "residuals": bad})
+            failures.append({"point": (str(x), str(y)), "residuals": bad})
     report = {
         "family": family_id,
-        "grid_points": len(points),
-        "all_residuals_zero": not failures,
+        "grid_points": len(GRID) ** 2,
+        "all_residuals_zero": not residuals,
         "failures": failures,
     }
     if family_id == 1:
         report["closed_form_facts"] = {
-            "c3_equals_c4": all(env["c3"] == env["c4"] for _, _, env in points),
-            "c3_equals_minus_quarter_over_b5": all(
-                4 * b5 * env["c3"] == -1 for _, b5, env in points
-            ),
-            "c1_is_zero": all(env["c1"].is_zero() for _, _, env in points),
+            "c3_equals_c4": point["c3"] == point["c4"],
+            "c3_equals_minus_quarter_over_b5": 4 * b5 * point["c3"] == -1,
+            "c1_is_zero": point["c1"] == 0,
         }
     return report
 

@@ -569,6 +569,19 @@ def test_lemma41_text_reads_the_expected_values(capsys, monkeypatch):
     assert code == 1 and report["payload"]["expected"]["rank"] == 13
 
 
+def test_a_family_dividing_by_a_sum_is_a_defect(capsys, monkeypatch):
+    # a denominator of several terms puts poles off b1 * b5 = 0: the
+    # family is not a Laurent polynomial, which is a defect in the
+    # family table, neither a failed certificate nor a usage error
+    family_1 = obstruction.FAMILIES[1]
+    monkeypatch.setitem(obstruction.FAMILIES, 1,
+                        lambda b1, b5: {**family_1(b1, b5), "c3": family_1(b1, b5)["c3"] / (b1 + b5)})
+    code, out, err = run(capsys, "verify", "families")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert "family 1" in err
+
+
 def test_families_section_reads_the_grid(capsys, monkeypatch):
     # the grid size and the text are read from the grid the families
     # are evaluated on

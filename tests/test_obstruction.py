@@ -209,6 +209,81 @@ def test_family1_closed_form_facts():
     }
 
 
+def reference_verify_family(family_id: int) -> dict:
+    """The per-point oracle for verify_family: every point of GRID^2
+    built by family_assignment and its rows evaluated by evaluate."""
+    system = obstruction_system()
+    points = [(b1, b5, family_assignment(family_id, b1, b5))
+              for b1 in obstruction.GRID for b5 in obstruction.GRID]
+    failures = []
+    for b1, b5, env in points:
+        bad = {k: str(v) for k, v in evaluate(system, env).items() if not v.is_zero()}
+        if bad:
+            failures.append({"point": (str(b1), str(b5)), "residuals": bad})
+    report = {
+        "family": family_id,
+        "grid_points": len(points),
+        "all_residuals_zero": not failures,
+        "failures": failures,
+    }
+    if family_id == 1:
+        report["closed_form_facts"] = {
+            "c3_equals_c4": all(env["c3"] == env["c4"] for _, _, env in points),
+            "c3_equals_minus_quarter_over_b5": all(
+                4 * b5 * env["c3"] == -1 for _, b5, env in points
+            ),
+            "c1_is_zero": all(env["c1"].is_zero() for _, _, env in points),
+        }
+    return report
+
+
+def assert_same_report(family_id):
+    report, reference = verify_family(family_id), reference_verify_family(family_id)
+    assert report == reference
+    assert repr(report) == repr(reference)  # key order too
+    return report
+
+
+def _flip_c3(family):
+    return lambda b1, b5: {**family(b1, b5), "c3": -family(b1, b5)["c3"]}
+
+
+def _c2_off_the_diagonal(family):
+    # adds 1/b5 - 1/b1: nonzero, but zero wherever b1 = b5
+    return lambda b1, b5: {**family(b1, b5), "c2": family(b1, b5)["c2"] + (b1 - b5) / (b1 * b5)}
+
+
+@pytest.mark.parametrize("family_id", [1, 2, 3])
+def test_verify_family_matches_the_per_point_oracle(family_id):
+    assert assert_same_report(family_id)["all_residuals_zero"]
+
+
+@pytest.mark.parametrize("family_id, mutate, failures", [
+    (1, _flip_c3, 169),
+    (2, _c2_off_the_diagonal, 156),
+])
+def test_verify_family_matches_the_oracle_on_mutants(monkeypatch, family_id, mutate, failures):
+    monkeypatch.setitem(FAMILIES, family_id, mutate(FAMILIES[family_id]))
+    report = assert_same_report(family_id)
+    assert len(report["failures"]) == failures
+
+
+def test_verify_family_matches_the_oracle_on_another_grid(monkeypatch):
+    monkeypatch.setattr(obstruction, "GRID", range(1, 3))
+    for fid in (1, 2, 3):
+        assert assert_same_report(fid)["grid_points"] == 4
+
+
+def test_a_nonzero_residual_fails_the_family_where_the_grid_misses_it(monkeypatch):
+    # on the diagonal grid {(1, 1)} the c2 mutant's residuals all vanish;
+    # the certificate is the residual polynomials, not the grid
+    monkeypatch.setitem(FAMILIES, 2, _c2_off_the_diagonal(FAMILIES[2]))
+    monkeypatch.setattr(obstruction, "GRID", range(1, 2))
+    report = verify_family(2)
+    assert report["failures"] == [] and not report["all_residuals_zero"]
+    assert reference_verify_family(2)["all_residuals_zero"]
+
+
 def test_family_pole_error():
     # the pole set is exactly b1 = 0 or b5 = 0, for every family
     for fid in (1, 2, 3):

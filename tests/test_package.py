@@ -128,6 +128,15 @@ def test_command_compiles_only_the_layers_it_uses(tmp_path, argv, code, modules)
     assert not imported & {"typing", "fractions", "decimal"}
 
 
+def test_qsqrt3_with_a_foreign_operand_loads_no_fractions(tmp_path):
+    # only a loaded fractions module can have made a Fraction operand
+    code = ("from commcalc.obstruction import QSqrt3\n"
+            "assert QSqrt3(1).__mul__(object()) is NotImplemented\n")
+    proc, _, imported = run_fresh(tmp_path, code)
+    assert proc.returncode == 0, proc.stderr
+    assert "fractions" not in imported
+
+
 def library_snippet() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library", 1)[1]
