@@ -33,8 +33,7 @@ _EXPORTS = {
         "verify_appendix_identity", "verify_lemma_w",
     ),
     "obstruction": (
-        "PoleError", "QSqrt3", "evaluate", "integer_search", "obstruction_system",
-        "verify_family",
+        "QSqrt3", "evaluate", "integer_search", "obstruction_system", "verify_family",
     ),
     "hopf": ("find_substitutions", "substituted_longitude", "verify_hopf_triviality"),
 }

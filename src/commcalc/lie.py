@@ -111,7 +111,9 @@ def comm_expr_to_tree(expr) -> CommTree:
 
 
 # Named so for the benchmark's tracer (perfbench/trace_child.py), which
-# wraps rank and left_kernel by name for its lie.rank_ms metric.
+# wraps rank and left_kernel by name for its lie.rank_ms metric: the
+# lemma's printed matrix takes one left_kernel elimination, which finds
+# its rank too, and the generator labels' matrix one rank.
 class RationalMatrix:
     """Dense integer matrix.  Elimination is fraction-free (Bareiss,
     1968) with first-nonzero pivoting, so every derived quantity (rank,
@@ -363,8 +365,8 @@ def verify_lemma_w() -> dict:
     matches no row and leaves literal_label_rank None.
     """
     printed = [_coordinates(PRINTED_RHS[k]) for k in range(1, 16)]
-    m = RationalMatrix(printed)
-    rank, kernel = m.rank(), m.left_kernel()
+    kernel = RationalMatrix(printed).left_kernel()
+    rank = len(printed) - len(kernel)
     all_ones = bool(kernel) and all(x == kernel[0][0] for x in kernel[0])
 
     labels = [_read_off(t) for t in LEMMA_GENERATORS]

@@ -14,11 +14,9 @@ once on the monomials b1 and b5 themselves: its coordinates are then
 Laurent polynomials in (b1, b5) over Q(sqrt 3), and the proof is that
 its 15 residual polynomials are identically zero, which holds at every
 point off b1 * b5 = 0 (see verify_family).  The report's 13 x 13 grid
-is read off those residuals.  Exact evaluation sums a residual in
-unreduced triples over a common denominator and puts it in lowest
-terms once.  The search is factored: rows sharing no variable are
-searched apart and joined by product, the variable order is planned
-from the rows, the last
+is read off those residuals.  The search is factored: rows sharing
+no variable are searched apart and joined by product, the variable
+order is planned from the rows, the last
 variable a block's rows end at is solved rather than enumerated -- the
 last two together, by Cramer's rule, where two of its rows are jointly
 linear in them -- and a block whose rows read only its own variables
@@ -62,10 +60,6 @@ VARIABLES: tuple[str, ...] = (
 #: rather than solves, not counting fixed-block reuse or a == 0
 #: branches -- and on the joined solution count.
 MAX_HEADS = 10**6
-
-
-class PoleError(ZeroDivisionError):
-    """A family was evaluated on its pole set (b1 = 0 or b5 = 0)."""
 
 
 def _parts(x):
@@ -127,8 +121,6 @@ class QSqrt3:
         return Fraction(self._b, self._d)
 
     def __add__(self, o):
-        if isinstance(o, int):
-            return _reduced(self._a + o * self._d, self._b, self._d)
         p = _parts(o)
         if p is None:
             return NotImplemented
@@ -144,8 +136,6 @@ class QSqrt3:
         return NotImplemented if _parts(o) is None else -self + o
 
     def __mul__(self, o):
-        if isinstance(o, int):
-            return _reduced(self._a * o, self._b * o, self._d)
         p = _parts(o)
         if p is None:
             return NotImplemented
@@ -171,9 +161,7 @@ class QSqrt3:
         return NotImplemented if p is None else _reduced(*p) / self
 
     def __neg__(self):
-        x = object.__new__(QSqrt3)
-        x._a, x._b, x._d = -self._a, -self._b, self._d
-        return x
+        return _reduced(-self._a, -self._b, self._d)
 
     def __eq__(self, o):
         p = _parts(o)
@@ -212,23 +200,13 @@ SQRT3 = QSqrt3(0, 1)
 Equation = namedtuple("Equation", "label terms target")
 
 
-def _residual(row: Equation, assignment: dict) -> QSqrt3:
-    """Value minus target of a row at an assignment of QSqrt3 values.
-
-    It reads each value's three ints directly, so every value must
-    be a QSqrt3, as evaluate makes sure.  The row is summed in
-    unreduced triples (a, b, d), products and sums over a common
-    denominator, and put in lowest terms once at the end; lowest
-    terms are unique, so the result is the same as with QSqrt3
-    arithmetic throughout."""
-    a, b, d = -row.target, 0, 1
-    for coeff, mono in row.terms:
-        ta, tb, td = coeff, 0, 1
-        for v in mono:
-            x = assignment[v]
-            ta, tb, td = ta * x._a + 3 * tb * x._b, ta * x._b + tb * x._a, td * x._d
-        a, b, d = a * td + ta * d, b * td + tb * d, d * td
-    return _reduced(a, b, d)
+def _residual(row: Equation, point: dict):
+    """Value minus target of a row at a point, in the ring of the
+    point's values over Q(sqrt 3): QSqrt3s for evaluate, Laurent
+    polynomials for verify_family.  A row with no terms gives the
+    QSqrt3 -target."""
+    return sum((math.prod((point[v] for v in mono), start=c) for c, mono in row.terms),
+               QSqrt3(-row.target))
 
 
 # Equation-table source: rows (1)-(15); row (1) is the base row that is
@@ -263,8 +241,11 @@ def _scalar_digit_bound(rows: tuple) -> int:
     part is a1*a2 + 3*b1*b2), so a monomial of degree k and coefficient
     c has ints below |c| * 4^(k-1) * M^k.  Over a common denominator,
     t such monomials minus the target T have ints below
-    (t * |c| * 4^(k-1) + |T|) * M^(kt), and lowest terms only shrink
-    them.
+    (t * |c| * 4^(k-1) + |T|) * M^(kt).  evaluate puts every partial
+    product and sum in lowest terms, and the bound still holds: a
+    residual is the same element however it is summed, and its lowest
+    terms divide every triple of it, this unreduced one included, so
+    they only shrink its ints.
     """
     k = max(len(mono) for _, terms, _ in rows for _, mono in terms)
     t = max(len(terms) for _, terms, _ in rows)
@@ -419,16 +400,6 @@ FAMILIES: dict = {1: _family_1, 2: _family_2, 3: _family_3}
 GRID = range(1, 14)
 
 
-def family_assignment(family_id: int, b1, b5) -> dict:
-    """The point of family `family_id` at parameters (b1, b5); raises
-    PoleError on the pole set b1 = 0 or b5 = 0."""
-    b1 = b1 if isinstance(b1, QSqrt3) else QSqrt3(b1)
-    b5 = b5 if isinstance(b5, QSqrt3) else QSqrt3(b5)
-    if b1.is_zero() or b5.is_zero():
-        raise PoleError("family evaluated on its pole set (b1=0 or b5=0)")
-    return FAMILIES[family_id](b1, b5)
-
-
 class NotLaurentError(ArithmeticError):
     """A family divides by a sum of terms in (b1, b5), so its points are
     not Laurent polynomials and may have poles off b1 * b5 = 0."""
@@ -497,13 +468,9 @@ class _Laurent:
         return NotImplemented if o is None else self.terms == o.terms
 
     def at(self, b1: int, b5: int) -> QSqrt3:
-        """The value at nonzero ints (b1, b5), put in lowest terms once."""
-        a, b, d = 0, 0, 1
-        for (i, j), c in self.terms.items():
-            num = b1 ** max(i, 0) * b5 ** max(j, 0)
-            den = c._d * b1 ** max(-i, 0) * b5 ** max(-j, 0)
-            a, b, d = a * den + c._a * num * d, b * den + c._b * num * d, d * den
-        return _reduced(a, b, d)
+        """The value at nonzero ints (b1, b5) of a nonzero polynomial."""
+        return sum(c * b1 ** max(i, 0) * b5 ** max(j, 0) / (b1 ** max(-i, 0) * b5 ** max(-j, 0))
+                   for (i, j), c in self.terms.items())
 
 
 def verify_family(family_id: int) -> dict:
@@ -530,8 +497,7 @@ def verify_family(family_id: int) -> dict:
         raise NotLaurentError(f"family {family_id} {exc}") from None
     residuals = {}
     for row in system:
-        poly = sum((c * math.prod(point[v] for v in mono) for c, mono in row.terms),
-                   _Laurent.of(-row.target))
+        poly = _Laurent.of(_residual(row, point))
         if poly.terms:
             residuals[row.label] = poly
     failures = []

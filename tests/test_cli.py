@@ -14,11 +14,12 @@ import sys
 import time
 
 import pytest
+from family_reference import family_assignment
 from search_reference import reference_search
 
 from commcalc import cli, lie, magnus, obstruction
 from commcalc.cli import main, parse_scalar
-from commcalc.obstruction import VARIABLES, QSqrt3, family_assignment
+from commcalc.obstruction import VARIABLES, QSqrt3
 from fractions import Fraction
 
 try:
@@ -502,15 +503,15 @@ def test_error_while_printing_exits_3(capsys, monkeypatch):
 
 
 def test_pole_error_is_a_defect(capsys, monkeypatch):
-    # no CLI path evaluates a family on its pole set, so a PoleError
+    # no CLI path divides by zero in Q(sqrt 3), so an arithmetic error
     # that reaches main is a defect in commcalc, not an input error
     def on_pole(k):
-        raise obstruction.PoleError("family evaluated on its pole set (b1=0 or b5=0)")
+        raise ZeroDivisionError("division by zero in Q(sqrt 3)")
 
     monkeypatch.setattr(obstruction, "verify_family", on_pole)
     code, out, err = run(capsys, "verify", "families")
     assert code == 3 and out == ""
-    assert err == "internal error: PoleError: family evaluated on its pole set (b1=0 or b5=0)\n"
+    assert err == "internal error: ZeroDivisionError: division by zero in Q(sqrt 3)\n"
 
 
 def test_printed_row_off_the_basis_is_a_defect(capsys, monkeypatch):

@@ -257,6 +257,21 @@ def test_lemma_w_report():
     assert report["transcription_flags"] == [12, 13, 14, 15]
 
 
+@pytest.mark.parametrize("row_1", [
+    PRINTED_RHS[1][:1],  # one term dropped: the column sums no longer vanish
+    PRINTED_RHS[2],  # a repeat of row 2: rank 14 with another kernel
+], ids=["term-dropped", "row-repeated"])
+def test_lemma_w_rank_off_the_all_ones_case(monkeypatch, row_1):
+    # the rank is read off the kernel's elimination; hold it to a rank of
+    # the 15 x 120 tensor matrix, which is the 15 x 24 one's
+    monkeypatch.setitem(PRINTED_RHS, 1, row_1)
+    report = verify_lemma_w()
+    tensor = [combination_vector(PRINTED_RHS[k]) for k in range(1, 16)]
+    rank = RationalMatrix([[v.get(p, 0) for p in permutations(INDICES)] for v in tensor]).rank()
+    assert report["rank"] == rank == 15 - report["kernel_dim"]
+    assert report["kernel"] != "all-ones"
+
+
 def test_lemma_w_reports_a_label_outside_the_basis_span(monkeypatch):
     # a label whose expansion does not read off is reported as matching
     # no row, and the labels' rank as unknown; it is not dropped

@@ -6,17 +6,16 @@ import time
 from fractions import Fraction
 
 import pytest
+from family_reference import PoleError, family_assignment
 from search_reference import reference_search
 
 from commcalc import obstruction
 from commcalc.obstruction import (
     FAMILIES,
     VARIABLES,
-    PoleError,
     QSqrt3,
     SQRT3,
     evaluate,
-    family_assignment,
     integer_search,
     obstruction_system,
     transcription_check,
@@ -56,6 +55,20 @@ def test_qsqrt3_field_laws_random():
             assert (x * y) / y == x
             assert (x / y) * y == x
     assert SQRT3 * SQRT3 == QSqrt3(3)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 7, -7, 10**400, -10**400])
+def test_qsqrt3_int_operands_act_as_their_qsqrt3(n):
+    rng = random.Random(271)
+    q = QSqrt3(n)
+    for _ in range(50):
+        x = QSqrt3(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)),
+                   Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)))
+        assert x + n == x + q and n + x == q + x
+        assert x - n == x - q and n - x == q - x
+        assert x * n == x * q and n * x == q * x
+        if n:
+            assert x / n == x / q
 
 
 def test_qsqrt3_zero_iff_both_components_zero():

@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from family_reference import family_assignment
 
 from commcalc.cli import parse_scalar
 from commcalc.lie import INDICES, LEMMA_GENERATORS, PRINTED_RHS, RationalMatrix
@@ -34,7 +35,6 @@ from commcalc.obstruction import (
     VARIABLES,
     QSqrt3,
     evaluate,
-    family_assignment,
     obstruction_system,
 )
 from commcalc.words import Alphabet, GroupWord

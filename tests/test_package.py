@@ -25,8 +25,7 @@ REEXPORTS = {
     magnus: ["MagnusPoly", "VariableSet", "expand"],
     lie: ["RationalMatrix", "TreeError", "expand_tree", "right_normed", "to_basis",
           "verify_appendix_identity", "verify_lemma_w"],
-    obstruction: ["PoleError", "QSqrt3", "evaluate", "integer_search", "obstruction_system",
-                  "verify_family"],
+    obstruction: ["QSqrt3", "evaluate", "integer_search", "obstruction_system", "verify_family"],
     hopf: ["find_substitutions", "substituted_longitude", "verify_hopf_triviality"],
 }
 LAYERS = {"words", "magnus", "lie", "obstruction", "hopf"}
